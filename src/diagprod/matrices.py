@@ -24,21 +24,73 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN64 = 0x9E3779B97F4A7C15
+_GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
+_MIX64 = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, applied in place to a ``uint64`` array.
+
+    numpy's ``uint64`` array arithmetic wraps modulo 2**64, which is exactly
+    the arithmetic the mixer is defined in.
+    """
+    t = x >> 30
+    x ^= t
+    x *= _MIX64[0]
+    np.right_shift(x, 27, out=t)
+    x ^= t
+    x *= _MIX64[1]
+    np.right_shift(x, 31, out=t)
+    x ^= t
+    return x
+
+
+def _stream_keys(seed: int, first: int, count: int) -> np.ndarray:
+    """``derive_seed(seed, first + i)`` for ``i`` in ``range(count)``, as ``uint64``."""
+    x = np.arange(count, dtype=np.uint64)
+    x += np.uint64((int(first) + 1) & _MASK64)
+    x *= _GOLDEN64
+    x += np.uint64(int(seed) & _MASK64)
+    return _splitmix64(x)
 
 
 def derive_seed(seed: int, index: int) -> int:
     """Mix a base seed with a stream index into a fresh 64-bit seed.
 
-    SplitMix64 finalizer.  The map is pure, so substreams may be drawn in any
-    order (or concurrently) and still coincide with a serial run.
+    SplitMix64: the finalizer applied to ``seed + (index + 1) * golden`` modulo
+    2**64.  The map is pure, so substreams may be drawn in any order (or
+    concurrently) and still coincide with a serial run.
     """
-    x = (int(seed) + (int(index) + 1) * _GOLDEN64) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+    return int(_stream_keys(seed, index, 1)[0])
+
+
+def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
+    """``count`` standard normals per stream key, shape ``(len(keys), count)``.
+
+    Counter-based: draw ``j`` of stream ``k`` is ``derive_seed(k, j)``, the
+    ``j``-th output of a SplitMix64 generator seeded with ``k`` (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Its top 53 bits
+    ``b`` give ``u = (b + 1/2) / 2**53`` in ``[2**-54, 1]``, so ``log u`` and
+    every normal are finite.  Box-Muller turns draw ``j`` (radius) and draw
+    ``pairs + j`` (angle) into normals ``2j`` and ``2j + 1``.
+    """
+    pairs = (count + 1) // 2
+    x = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN64
+    x = _splitmix64(x + keys[:, None])
+    np.right_shift(x, 11, out=x)
+    u = x.astype(np.float64)
+    del x
+    u += 0.5
+    u *= 2.0**-53
+    radius = np.log(u[:, :pairs])
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = u[:, pairs:]
+    angle *= 2.0 * np.pi
+    out = np.empty((len(keys), 2 * pairs))
+    np.multiply(radius, np.cos(angle), out=out[:, 0::2])
+    np.multiply(radius, np.sin(angle), out=out[:, 1::2])
+    return out[:, :count]
 
 
 def _square(m) -> np.ndarray:
@@ -127,18 +179,22 @@ def exp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed) & _MASK64)
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
 
 
-def _haar_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Stack of ``count`` Haar unitaries; slice ``i`` is seeded by
-    ``derive_seed(seed, start + i)`` and equals ``haar_unitary(n, that_seed)``."""
-    g = np.empty((count, n, n), np.complex128)
-    for i in range(count):
-        rng = _rng(derive_seed(seed, start + i))
-        g[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    g /= np.sqrt(2.0)
+def _one_key(seed: int) -> np.ndarray:
+    return np.array([int(seed) & _MASK64], np.uint64)
+
+
+def _haar_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    """One Haar U(n) sample per stream key: QR of the complex Ginibre matrix
+    whose entries are consecutive Box-Muller pairs (QR is scale-free, so the
+    entry variance does not matter), with the R-diagonal phase fix of
+    Mezzadri (2007)."""
+    _check_order(n)
+    g = _standard_normals(keys, 2 * n * n).view(np.complex128).reshape(len(keys), n, n)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(d)
@@ -146,62 +202,55 @@ def _haar_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.nda
     return q * phase[:, None, :]
 
 
-def _haar_special_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
-    u = _haar_unitary_batch(n, seed, count, start)
-    det = np.linalg.det(u)
-    u[:, :, 0] /= det[:, None]
+def _haar_special_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    u = _haar_unitary_keys(n, keys)
+    u[:, :, 0] /= np.linalg.det(u)[:, None]
     return u
 
 
-def _haar_special_orthogonal_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
-    g = np.empty((count, n, n), np.float64)
-    for i in range(count):
-        rng = _rng(derive_seed(seed, start + i))
-        g[i] = rng.standard_normal((n, n))
+def _haar_special_orthogonal_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    """One Haar SO(n) sample per stream key: QR of a real Gaussian matrix with
+    the R-diagonal sign fix, column 1 flipped where the determinant is -1."""
+    _check_order(n)
+    g = _standard_normals(keys, n * n).reshape(len(keys), n, n)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    sign = np.where(d < 0.0, -1.0, 1.0)
-    q = q * sign[:, None, :]
-    det = np.linalg.det(q)
-    q[det < 0.0, :, 0] *= -1.0
+    q = q * np.where(d < 0.0, -1.0, 1.0)[:, None, :]
+    q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
     return q
+
+
+def _haar_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Stack of ``count`` Haar unitaries; slice ``i`` is seeded by
+    ``derive_seed(seed, start + i)`` and equals ``haar_unitary(n, that_seed)``."""
+    return _haar_unitary_keys(n, _stream_keys(seed, start, count))
+
+
+def _haar_special_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    return _haar_special_unitary_keys(n, _stream_keys(seed, start, count))
+
+
+def _haar_special_orthogonal_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    return _haar_special_orthogonal_keys(n, _stream_keys(seed, start, count))
 
 
 def haar_unitary(n: int, seed: int = 0) -> np.ndarray:
     """Haar-distributed U(n) sample: QR of a complex Ginibre matrix with the
-    R-diagonal phase normalization.  Deterministic in ``seed``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    # one generator, two draws, matching the batched path exactly
-    rng = _rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    g /= np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    mod = np.abs(d)
-    phase = np.where(mod > 0.0, d / np.where(mod > 0.0, mod, 1.0), 1.0)
-    return q * phase[None, :]
+    R-diagonal phase normalization.  The Ginibre entries are Box-Muller
+    normals from the counter-based SplitMix64 stream keyed by ``seed``, so the
+    sample is deterministic in ``seed``."""
+    return _haar_unitary_keys(n, _one_key(seed))[0]
 
 
 def haar_special_unitary(n: int, seed: int = 0) -> np.ndarray:
-    """Haar SU(n) sample: Haar unitary with column 1 divided by the
-    determinant's phase."""
-    u = haar_unitary(n, seed)
-    u[:, 0] /= np.linalg.det(u)
-    return u
+    """Haar SU(n) sample: ``haar_unitary(n, seed)`` with column 1 divided by
+    the determinant's phase."""
+    return _haar_special_unitary_keys(n, _one_key(seed))[0]
 
 
 def haar_special_orthogonal(n: int, seed: int = 0) -> np.ndarray:
     """Haar SO(n) sample: QR of a real Gaussian matrix with sign
-    normalization, column 1 flipped if the determinant is -1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = _rng(seed)
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    sign = np.where(d < 0.0, -1.0, 1.0)
-    q = q * sign[None, :]
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] *= -1.0
-    return q
+    normalization, column 1 flipped if the determinant is -1.  The Gaussian
+    entries are Box-Muller normals from the counter-based SplitMix64 stream
+    keyed by ``seed``."""
+    return _haar_special_orthogonal_keys(n, _one_key(seed))[0]

@@ -6,8 +6,10 @@ over SU(n) by a penalty method with multi-start, and dedicated checks for the
 unit-disk (unitary) and real-interval (special orthogonal) images.
 
 All runs are deterministic functions of their seed: per-trial and per-restart
-generators are derived with a SplitMix64 mixer, and aggregation is
-order-independent (counts, extremal margins, sorted detail records).
+Haar samples come from counter-based streams keyed by ``derive_seed`` (a
+SplitMix64 mixer), and aggregation is order-independent (counts, extremal
+margins, sorted detail records), so reports do not depend on ``_CHUNK``.
+Non-finite products count as failures.
 """
 
 from __future__ import annotations
@@ -173,7 +175,10 @@ def monte_carlo_containment(
         mats = _haar_special_unitary_batch(n, seed, cnt, start)
         zs[start : start + cnt] = _diag_products(mats)
     codes, margins = _classify_su_many(n, zs, tol)
-    fail_idx = np.flatnonzero(codes == -1)
+    # a non-finite product has no margin: it fails, as the worst possible one
+    finite = np.isfinite(zs)
+    margins = np.where(finite, margins, -np.inf)
+    fail_idx = np.flatnonzero((codes == -1) | ~finite)
     details = [
         CheckRecord(
             input=f"trial={i} z={zs[i]!r}",
@@ -670,6 +675,8 @@ def verify_unit_disk(
         off[:, np.arange(n), np.arange(n)] = 0.0
         offmax[start : start + cnt] = off.max(axis=(1, 2))
 
+    # a non-finite modulus is recorded as inf, so it fails the bound
+    mods[~np.isfinite(mods)] = np.inf
     margin_a = (1.0 + 1e-12) - mods
     bad_a = np.flatnonzero(margin_a < 0.0)
     failures += len(bad_a)
@@ -796,6 +803,8 @@ def verify_so_interval(
         cnt = min(_CHUNK, trials - start)
         mats = _haar_special_orthogonal_batch(n, seed, cnt, start)
         pds[start : start + cnt] = np.real(_diag_products(mats))
+    # a non-finite product is recorded as inf, so it lies outside the interval
+    pds[~np.isfinite(pds)] = np.inf
     inside = (pds >= lo - 1e-9) & (pds <= hi + 1e-9)
     bad = np.flatnonzero(~inside)
     failures += len(bad)

@@ -20,7 +20,34 @@ from diagprod import (
     is_special_unitary,
     is_unitary,
 )
-from diagprod.matrices import _haar_special_unitary_batch, _haar_unitary_batch
+from diagprod.matrices import (
+    _haar_special_orthogonal_batch,
+    _haar_special_unitary_batch,
+    _haar_unitary_batch,
+    _standard_normals,
+    _stream_keys,
+)
+
+_MASK64 = (1 << 64) - 1
+_SEEDS = st.one_of(
+    st.sampled_from([0, -1, -(2**63), 2**63, 2**64 - 1, 2**64]),
+    st.integers(-(2**64), 2**66),
+)
+_GROUPS = {
+    "U": (_haar_unitary_batch, haar_unitary),
+    "SU": (_haar_special_unitary_batch, haar_special_unitary),
+    "SO": (_haar_special_orthogonal_batch, haar_special_orthogonal),
+}
+
+
+def splitmix64_reference(seed: int, index: int) -> int:
+    """Pure-Python SplitMix64 seed mixing (test oracle for ``derive_seed``)."""
+    x = (int(seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return (x ^ (x >> 31)) & _MASK64
 
 
 def series_expm(a, terms=60):
@@ -180,11 +207,22 @@ class TestHaarSampling:
         np.testing.assert_array_equal(haar_unitary(4, 123), haar_unitary(4, 123))
         assert np.abs(haar_unitary(4, 123) - haar_unitary(4, 124)).max() > 1e-3
 
-    def test_batch_matches_scalar(self):
-        batch = _haar_special_unitary_batch(3, 99, 5, 0)
-        for k in (0, 2, 4):
+    @given(
+        st.sampled_from(sorted(_GROUPS)),
+        st.integers(1, 8),
+        _SEEDS,
+        st.integers(1, 2**40),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_batch_matches_scalar(self, group, n, seed, start, count):
+        # slice i depends only on (seed, start + i), bit for bit
+        batch_fn, scalar_fn = _GROUPS[group]
+        batch = batch_fn(n, seed, count, start)
+        assert batch.shape == (count, n, n)
+        for i in range(count):
             np.testing.assert_array_equal(
-                batch[k], haar_special_unitary(3, derive_seed(99, k))
+                batch[i], scalar_fn(n, derive_seed(seed, start + i))
             )
 
     def test_first_entry_second_moment(self):
@@ -192,6 +230,20 @@ class TestHaarSampling:
         batch = _haar_unitary_batch(3, 5, 100000)
         mean = np.mean(np.abs(batch[:, 0, 0]) ** 2)
         assert abs(mean - 1.0 / 3.0) <= 0.01
+
+    def test_orthogonal_first_entry_second_moment(self):
+        # the first column of Haar SO(n) is uniform on the sphere: E O_11^2 = 1/n
+        for n in (3, 5):
+            batch = _haar_special_orthogonal_batch(n, 6, 100000)
+            assert abs(np.mean(batch[:, 0, 0] ** 2) - 1.0 / n) <= 0.01
+
+    def test_standard_normal_stream(self):
+        from scipy import stats
+
+        z = _standard_normals(_stream_keys(2024, 0, 1000), 1000)
+        assert z.shape == (1000, 1000)
+        assert np.isfinite(z).all()
+        assert stats.kstest(z.ravel(), "norm").pvalue > 1e-3
 
     def test_unit_disk_bound(self):
         # |diag product| <= 1 for every unitary
@@ -220,3 +272,17 @@ class TestSeedMixing:
     def test_64_bit_range(self):
         for s, i in ((0, 0), (2**63, 17), (123456789, 2**31)):
             assert 0 <= derive_seed(s, i) < 2**64
+
+    @given(_SEEDS, st.integers(0, 2**40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_mixer(self, seed, index):
+        assert derive_seed(seed, index) == splitmix64_reference(seed, index)
+
+    @given(_SEEDS, st.integers(0, 2**40), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_vectorized_keys_match_reference(self, seed, first, count):
+        keys = _stream_keys(seed, first, count)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [
+            splitmix64_reference(seed, first + i) for i in range(count)
+        ]

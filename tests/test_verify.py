@@ -4,6 +4,7 @@ spec-scale workloads)."""
 import numpy as np
 import pytest
 
+import diagprod.verify as verify_module
 from diagprod import (
     OptimizerConfig,
     alpha_of_theta,
@@ -217,3 +218,46 @@ class TestReportShape:
         im_part = np.array(d["best_matrix"]["im"])
         m = re_part + 1j * im_part
         assert is_special_unitary(m, 1e-8)
+
+
+def _identity_stack_with_nan(n, seed, count, start=0):
+    """Sampler stand-in: identity matrices, except a NaN matrix at trial 0."""
+    mats = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    if start == 0:
+        mats[0] = np.nan
+    return mats
+
+
+class TestNonFiniteProducts:
+    @pytest.mark.parametrize(
+        "sampler, run",
+        [
+            ("_haar_special_unitary_batch", lambda: monte_carlo_containment(3, 20, seed=1)),
+            ("_haar_unitary_batch", lambda: verify_unit_disk(3, 20, seed=1, grid=5)),
+            (
+                "_haar_special_orthogonal_batch",
+                lambda: verify_so_interval(3, sweep=100, trials=20, seed=1),
+            ),
+        ],
+    )
+    def test_nan_sample_counts_as_failure(self, monkeypatch, sampler, run):
+        monkeypatch.setattr(verify_module, sampler, _identity_stack_with_nan)
+        rep = run()
+        assert rep.failures >= 1
+        assert not rep.passed
+        assert rep.worst_margin == -np.inf
+
+
+class TestChunkIndependence:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: monte_carlo_containment(4, 40, seed=11),
+            lambda: verify_unit_disk(3, 40, seed=11, grid=5),
+            lambda: verify_so_interval(4, sweep=100, trials=40, seed=11),
+        ],
+    )
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, run):
+        whole = repr(run().to_dict())
+        monkeypatch.setattr(verify_module, "_CHUNK", 7)
+        assert repr(run().to_dict()) == whole
