@@ -7,11 +7,9 @@ numerical verification runs.
 """
 
 from .boundary import (
-    BoundaryModel,
     PolarPoint,
     alpha_of_theta,
     big_gamma,
-    boundary_model,
     gamma,
     gamma_derivative,
     jacobian_big_gamma,
@@ -69,11 +67,9 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryModel",
     "PolarPoint",
     "alpha_of_theta",
     "big_gamma",
-    "boundary_model",
     "gamma",
     "gamma_derivative",
     "jacobian_big_gamma",

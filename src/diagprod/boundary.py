@@ -15,7 +15,6 @@ All evaluators accept scalars or numpy arrays of angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "big_gamma",
     "jacobian_big_gamma",
     "PolarPoint",
-    "BoundaryModel",
-    "boundary_model",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -42,6 +39,15 @@ def _check_n(n: int, minimum: int) -> int:
     if n < minimum:
         raise ValueError(f"matrix size n must be at least {minimum}, got {n}")
     return n
+
+
+def _check_finite(name: str, x):
+    """Return ``x`` unchanged; raise ValueError naming the first non-finite
+    entry of it."""
+    bad = np.asarray(x)[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
+    return x
 
 
 def wrap_angle(x):
@@ -109,8 +115,8 @@ def theta_derivative(n: int, alpha):
     return float(out[()]) if a.ndim == 0 else out
 
 
-def _invert_theta(n: int, targets: np.ndarray, lo=None, hi=None) -> np.ndarray:
-    """Solve theta_of_alpha(n, x) = target elementwise on a monotone bracket.
+def _invert_theta(n: int, targets: np.ndarray) -> np.ndarray:
+    """Solve theta_of_alpha(n, x) = target elementwise on [-pi, pi].
 
     Bisection narrows the bracket, guarded Newton polishes where the slope is
     healthy, and a final bisection sweep exhausts the bracket so the residual
@@ -118,9 +124,9 @@ def _invert_theta(n: int, targets: np.ndarray, lo=None, hi=None) -> np.ndarray:
     quadratically, so Newton steps there are rejected and bisection continues.
     """
     t = np.asarray(targets, np.float64)
-    lo = np.full(t.shape, -np.pi) if lo is None else np.array(lo, np.float64)
-    hi = np.full(t.shape, np.pi) if hi is None else np.array(hi, np.float64)
-    x = 0.5 * (lo + hi)
+    lo = np.full(t.shape, -np.pi)
+    hi = np.full(t.shape, np.pi)
+    x = np.zeros(t.shape)
     for _ in range(22):
         f = theta_of_alpha(n, x) - t
         pos = f > 0.0
@@ -149,17 +155,15 @@ def _invert_theta(n: int, targets: np.ndarray, lo=None, hi=None) -> np.ndarray:
     return np.where(t == 0.0, 0.0, x)
 
 
-def alpha_of_theta(n: int, theta, tol: float = 1e-12):
+def alpha_of_theta(n: int, theta):
     """Inverse of the angle map: the alpha in [-pi, pi] with theta(alpha) = theta.
 
-    The solver always iterates to the floating-point noise floor, so the
-    residual |theta(alpha) - theta| is far below ``tol`` (which must be
-    positive and is the guaranteed bound, meaningful down to ~1e-12).
+    ``theta`` is a finite scalar or array; it is wrapped into [-pi, pi] first.
+    The solver always iterates to the floating-point noise floor of the angle
+    map, so there is no tolerance to choose.
     """
     n = _check_n(n, 3)
-    if not float(tol) > 0.0:
-        raise ValueError("tolerance must be positive")
-    t = np.asarray(wrap_angle(theta), np.float64)
+    t = np.asarray(wrap_angle(_check_finite("theta", theta)), np.float64)
     out = _invert_theta(n, t if t.ndim else t[None])
     return float(out[0]) if t.ndim == 0 else out
 
@@ -180,9 +184,8 @@ def _radius_from_alpha(n: int, alpha):
 def radius_of_theta(n: int, theta) -> PolarPoint:
     """Polar radius of the boundary at angle ``theta`` (n >= 3)."""
     n = _check_n(n, 3)
-    t = float(wrap_angle(theta))
-    a = alpha_of_theta(n, t)
-    return PolarPoint(theta=t, r=float(_radius_from_alpha(n, a)))
+    a = alpha_of_theta(n, theta)
+    return PolarPoint(theta=float(wrap_angle(theta)), r=float(_radius_from_alpha(n, a)))
 
 
 def _radius_many(n: int, thetas: np.ndarray) -> np.ndarray:
@@ -229,50 +232,3 @@ def jacobian_big_gamma(n: int, alpha, y):
     angular = 4.0 * np.sin(0.5 * a) ** 2 - a * np.sin(a)
     out = _ipow(mod2, n - 1) * yy * (1.0 - yy / n) * angular
     return float(out[()]) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class BoundaryModel:
-    """Per-n cached samples of (alpha, theta(alpha), |gamma(alpha)|).
-
-    The table only accelerates inverse bracketing; every query is reproducible
-    without it through :func:`alpha_of_theta`.
-    """
-
-    n: int
-    alphas: np.ndarray
-    thetas: np.ndarray
-    radii: np.ndarray
-
-    @classmethod
-    def build(cls, n: int, resolution: int = 4096) -> "BoundaryModel":
-        n = _check_n(n, 3)
-        if resolution < 16:
-            raise ValueError("resolution must be at least 16")
-        alphas = np.linspace(-np.pi, np.pi, int(resolution))
-        thetas = theta_of_alpha(n, alphas)
-        radii = _radius_from_alpha(n, alphas)
-        for arr in (alphas, thetas, radii):
-            arr.flags.writeable = False
-        return cls(n=n, alphas=alphas, thetas=thetas, radii=radii)
-
-    def alpha_at(self, theta, tol: float = 1e-12):
-        """Inverse angle map using the cached table for the initial bracket."""
-        t = np.asarray(wrap_angle(theta), np.float64)
-        ts = t if t.ndim else t[None]
-        idx = np.clip(np.searchsorted(self.thetas, ts) - 1, 0, len(self.alphas) - 2)
-        out = _invert_theta(self.n, ts, lo=self.alphas[idx], hi=self.alphas[idx + 1])
-        out = np.where(ts == 0.0, 0.0, out)
-        return float(out[0]) if t.ndim == 0 else out
-
-    def radius_at(self, theta):
-        """Polar radius at ``theta`` via the bracketed inverse."""
-        a = self.alpha_at(theta)
-        out = _radius_from_alpha(self.n, a)
-        return float(out) if np.ndim(out) == 0 else out
-
-
-@lru_cache(maxsize=64)
-def boundary_model(n: int, resolution: int = 4096) -> BoundaryModel:
-    """Cached immutable :class:`BoundaryModel` for size ``n``."""
-    return BoundaryModel.build(n, resolution)

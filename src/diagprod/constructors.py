@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import alpha_of_theta, radius_of_theta, wrap_angle, _ipow
+from .boundary import alpha_of_theta, wrap_angle, _ipow, _radius_from_alpha
 from .matrices import diag_product, is_special_unitary, _MASK64
 
 __all__ = [
@@ -270,12 +270,11 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
         v = d.v * (lead.conjugate() / abs(lead))
         return ExtremalDecomposition(d.alpha, v, d.diag_phases)
     else:
-        theta = math.atan2(z.imag, z.real)
-        if abs(abs(z) - radius_of_theta(n, theta).r) > tol:
+        alpha = alpha_of_theta(n, math.atan2(z.imag, z.real))
+        if abs(abs(z) - float(_radius_from_alpha(n, alpha))) > tol:
             return None
         if abs(z - 1.0) <= tol:
             return _degenerate_decomposition(u, n)
-        alpha = alpha_of_theta(n, theta)
         # sharpen |alpha| from the product modulus: the angle map is cubically
         # flat at 0, the modulus only quadratically, so this is the
         # well-conditioned route near the cusp

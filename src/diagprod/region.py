@@ -2,21 +2,24 @@
 
 Two independent tests for the SU(n) region: a polar comparison of |z| against
 the boundary radius at arg z (the region is star-shaped about 0), and a
-winding-number test against a polygonal approximation of the boundary curve.
-The unitary image is the closed unit disk and the special orthogonal image is
-a real interval, both handled by direct distance tests.
+winding-number test that counts signed ray crossings of a polygonal
+approximation of the boundary curve.  Each test has one array core returning
+codes (+1 Inside, 0 OnBoundary, -1 Outside) and signed margins; a non-finite
+point gets code -1 and margin -inf.  The scalar oracles run their core on a
+single point and reject non-finite input with ValueError.  The unitary image
+is the closed unit disk and the special orthogonal image is a real interval,
+both handled by direct distance tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .boundary import alpha_of_theta, gamma, _radius_from_alpha, _radius_many
+from .boundary import gamma, _check_finite, _radius_many
 
 __all__ = [
     "Membership",
@@ -32,6 +35,9 @@ class Membership(Enum):
     INSIDE = "Inside"
     ON_BOUNDARY = "OnBoundary"
     OUTSIDE = "Outside"
+
+
+_STATUS = {1: Membership.INSIDE, 0: Membership.ON_BOUNDARY, -1: Membership.OUTSIDE}
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,8 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _segment_distance(z: complex) -> float:
-    """Distance from z to the real segment [0, 1]."""
-    x = min(max(z.real, 0.0), 1.0)
-    return math.hypot(z.real - x, z.imag)
+def _verdict(codes: np.ndarray, margins: np.ndarray) -> MembershipVerdict:
+    return MembershipVerdict(_STATUS[int(codes[0])], float(margins[0]))
 
 
 def su_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
@@ -69,27 +73,9 @@ def su_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_tol(tol)
-    z = complex(z)
-    if n == 1:
-        d = abs(z - 1.0)
-        status = Membership.INSIDE if d <= tol else Membership.OUTSIDE
-        return MembershipVerdict(status, tol - d)
-    if n == 2:
-        d = _segment_distance(z)
-        status = Membership.ON_BOUNDARY if d <= tol else Membership.OUTSIDE
-        return MembershipVerdict(status, tol - d)
-    mod = abs(z)
-    theta = 0.0 if mod <= tol else math.atan2(z.imag, z.real)
-    radius = float(_radius_from_alpha(n, alpha_of_theta(n, theta)))
-    margin = radius - mod
-    if margin > tol:
-        status = Membership.INSIDE
-    elif margin < -tol:
-        status = Membership.OUTSIDE
-    else:
-        status = Membership.ON_BOUNDARY
-    return MembershipVerdict(status, margin)
+    tol = _check_tol(tol)
+    z = _check_finite("z", complex(z))
+    return _verdict(*_classify_su_many(n, np.array([z]), tol))
 
 
 @lru_cache(maxsize=32)
@@ -104,7 +90,8 @@ def su_region_contains_winding(
     n: int, z, samples: int = 8192, tol: float = 1e-9
 ) -> MembershipVerdict:
     """Independent SU(n) membership oracle via the winding number of a
-    polygonal boundary approximation around z.
+    polygonal boundary approximation around z, counted as signed crossings of
+    a horizontal ray.
 
     Points within ``tol`` of the polyline (including its vertices) classify as
     OnBoundary; otherwise Inside iff the winding number is nonzero.
@@ -113,24 +100,9 @@ def su_region_contains_winding(
         raise ValueError("the winding oracle needs n >= 3")
     if samples < 1024:
         raise ValueError("samples must be at least 1024")
-    _check_tol(tol)
-    z = complex(z)
-    pts = _boundary_polyline(n, int(samples))
-    nxt = np.roll(pts, -1)
-    seg = nxt - pts
-    rel = z - pts
-    seg2 = seg.real**2 + seg.imag**2
-    t = np.clip((rel.real * seg.real + rel.imag * seg.imag) / seg2, 0.0, 1.0)
-    proj = pts + t * seg
-    dist = float(np.abs(z - proj).min())
-    if dist <= tol:
-        return MembershipVerdict(Membership.ON_BOUNDARY, dist)
-    ratio = (nxt - z) / (pts - z)
-    total = float(np.angle(ratio).sum())
-    winding = int(round(total / (2.0 * math.pi)))
-    if winding != 0:
-        return MembershipVerdict(Membership.INSIDE, dist)
-    return MembershipVerdict(Membership.OUTSIDE, -dist)
+    tol = _check_tol(tol)
+    z = _check_finite("z", complex(z))
+    return _verdict(*_winding_codes_many(n, np.array([z]), int(samples), tol))
 
 
 def u_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
@@ -139,7 +111,8 @@ def u_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_tol(tol)
-    margin = 1.0 - abs(complex(z))
+    z = _check_finite("z", complex(z))
+    margin = 1.0 - abs(z)
     if margin > tol:
         status = Membership.INSIDE
     elif margin < -tol:
@@ -164,17 +137,18 @@ def so_interval(n: int) -> tuple[float, float]:
 def _winding_codes_many(
     n: int, zs: np.ndarray, samples: int = 8192, tol: float = 1e-9, block: int = 512
 ):
-    """Vectorized form of :func:`su_region_contains_winding` over points.
+    """Winding-number classification of an array of points: the core of
+    :func:`su_region_contains_winding`.
 
-    Returns (codes, margins) with the same conventions as the scalar oracle;
-    points are processed in blocks to bound memory.  The winding number is
-    counted through signed horizontal-ray crossings (multiplication-only, and
-    exactly the integer the scalar oracle's angle accumulation rounds to for
-    points off the polyline).
+    Returns (codes, margins); points are processed in blocks to bound memory.
+    The winding number is counted through signed horizontal-ray crossings
+    (multiplication-only, exact for points off the polyline).
     """
     if n < 3:
         raise ValueError("the winding oracle needs n >= 3")
     zs = np.asarray(zs, np.complex128).reshape(-1)
+    finite = np.isfinite(zs)
+    zs = np.where(finite, zs, 0.0)
     pts = _boundary_polyline(n, int(samples))
     nxt = np.roll(pts, -1)
     px, py = pts.real[None, :], pts.imag[None, :]
@@ -212,28 +186,34 @@ def _winding_codes_many(
         margins[start : start + block] = np.where(
             on_edge, dist, np.where(inside, dist, -dist)
         )
+    codes[~finite] = -1
+    margins[~finite] = -np.inf
     return codes, margins
 
 
 def _classify_su_many(n: int, zs: np.ndarray, tol: float):
-    """Vectorized form of :func:`su_region_contains` over an array of points.
+    """Polar classification of an array of points: the core of
+    :func:`su_region_contains`.
 
     Returns (codes, margins) with codes +1 Inside, 0 OnBoundary, -1 Outside.
     """
     zs = np.asarray(zs, np.complex128)
+    finite = np.isfinite(zs)
     if n == 1:
         d = np.abs(zs - 1.0)
         margins = tol - d
-        codes = np.where(d <= tol, 1, -1).astype(np.int8)
-        return codes, margins
-    if n == 2:
+        codes = np.where(d <= tol, 1, -1)
+    elif n == 2:
         x = np.clip(zs.real, 0.0, 1.0)
         d = np.hypot(zs.real - x, zs.imag)
         margins = tol - d
-        codes = np.where(d <= tol, 0, -1).astype(np.int8)
-        return codes, margins
-    mod = np.abs(zs)
-    theta = np.where(mod <= tol, 0.0, np.angle(zs))
-    margins = _radius_many(n, theta) - mod
-    codes = np.where(margins > tol, 1, np.where(margins < -tol, -1, 0)).astype(np.int8)
+        codes = np.where(d <= tol, 0, -1)
+    else:
+        mod = np.abs(zs)
+        theta = np.where(finite & (mod > tol), np.angle(zs), 0.0)
+        margins = _radius_many(n, theta) - mod
+        codes = np.where(margins > tol, 1, np.where(margins < -tol, -1, 0))
+    # a non-finite point has no margin: it is outside, as the worst possible one
+    codes = np.where(finite, codes, -1).astype(np.int8)
+    margins = np.where(finite, margins, -np.inf)
     return codes, margins

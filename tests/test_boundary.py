@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from diagprod import (
-    BoundaryModel,
     alpha_of_theta,
     big_gamma,
-    boundary_model,
     gamma,
     gamma_derivative,
     jacobian_big_gamma,
@@ -142,9 +140,23 @@ class TestAlphaOfTheta:
             back = np.array([alpha_of_theta(n, t) for t in theta_of_alpha(n, alphas[::50])])
             assert np.abs(back - alphas[::50]).max() <= 1e-8
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            alpha_of_theta(3, 0.5, tol=-1.0)
+    def test_array_matches_scalar(self):
+        thetas = np.linspace(-np.pi, np.pi, 101)
+        for n in (3, 5, 9):
+            scalar = np.array([alpha_of_theta(n, t) for t in thetas])
+            # the final bisection sweep stops when the whole array has
+            # converged, so entries may differ from the scalar ones by ulps
+            assert np.abs(alpha_of_theta(n, thetas) - scalar).max() <= 1e-12
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for call in (
+                lambda: alpha_of_theta(3, bad),
+                lambda: alpha_of_theta(4, np.array([0.5, bad])),
+                lambda: radius_of_theta(3, bad),
+            ):
+                with pytest.raises(ValueError, match=f"theta must be finite, got {bad!r}"):
+                    call()
 
 
 class TestRadius:
@@ -229,28 +241,6 @@ class TestJacobian:
             aa, yy = np.meshgrid(alphas, ys, indexing="ij")
             vals = jacobian_big_gamma(n, aa, yy)
             assert np.all(vals > 0)
-
-
-class TestBoundaryModel:
-    def test_cached_columns_increase(self):
-        m = boundary_model(4)
-        assert np.all(np.diff(m.thetas) > 0)
-        assert np.all(np.diff(m.alphas) > 0)
-
-    def test_cache_is_pure_accelerator(self):
-        m = BoundaryModel.build(5, resolution=512)
-        thetas = np.linspace(-np.pi, np.pi, 101)
-        fast = m.alpha_at(thetas)
-        slow = np.array([alpha_of_theta(5, t) for t in thetas])
-        assert np.abs(fast - slow).max() <= 1e-10
-        r_fast = m.radius_at(thetas)
-        r_slow = np.array([radius_of_theta(5, t).r for t in thetas])
-        assert np.abs(r_fast - r_slow).max() <= 1e-12
-
-    def test_tables_immutable(self):
-        m = boundary_model(3)
-        with pytest.raises(ValueError):
-            m.thetas[0] = 0.0
 
 
 class TestWrapAngle:

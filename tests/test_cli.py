@@ -140,6 +140,11 @@ class TestMembershipCommand:
         assert polar_status == winding_status
         assert rc == (1 if polar_status == "Outside" else 0)
 
+    def test_non_finite_point_is_usage_error(self, capsys):
+        rc = main(["membership", "--n", "3", "--re", "nan", "--im", "0"])
+        assert rc == 2
+        assert "z must be finite, got (nan+0j)" in capsys.readouterr().err
+
     def test_small_n_prints_single_oracle(self, capsys):
         rc = main(["membership", "--n", "2", "--re", "0.5", "--im", "0"])
         out = capsys.readouterr().out

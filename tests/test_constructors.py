@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import diagprod.boundary as boundary_module
+
 from diagprod import (
     ExtremalDecomposition,
     alpha_of_theta,
@@ -297,3 +299,21 @@ class TestRecognizeExtremal:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             recognize_extremal(np.eye(1), 1e-9)
+
+    def test_inverts_theta_once(self, monkeypatch):
+        calls = []
+        invert = boundary_module._invert_theta
+
+        def counting(n, targets):
+            calls.append(n)
+            return invert(n, targets)
+
+        monkeypatch.setattr(boundary_module, "_invert_theta", counting)
+        for n, alpha in ((3, 1.2), (5, -0.4), (6, 0.0)):
+            calls.clear()
+            rec = recognize_extremal(build_extremal(random_extremal(n, seed=3, alpha=alpha)))
+            assert rec is not None
+            assert calls == [n]
+        calls.clear()
+        assert recognize_extremal(haar_special_unitary(4, 1)) is None
+        assert calls == [4]

@@ -1,8 +1,12 @@
 """Membership oracle tests: polar test, winding test, their agreement, the
 unit-disk image, and the special orthogonal interval."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagprod import (
     Membership,
@@ -12,9 +16,36 @@ from diagprod import (
     su_region_contains_winding,
     u_region_contains,
 )
-from diagprod.region import _classify_su_many, _winding_codes_many
+from diagprod.region import _boundary_polyline, _classify_su_many, _winding_codes_many
 
 STATUS_CODE = {"Inside": 1, "OnBoundary": 0, "Outside": -1}
+
+
+def winding_by_angle_sum(n, z, samples, tol):
+    """Reference winding oracle, independent of the crossing-count core: the
+    turning angle of the polyline seen from z, summed and rounded to whole
+    turns.  Returns (code, margin) in the core's conventions."""
+    pts = _boundary_polyline(n, samples)
+    nxt = np.roll(pts, -1)
+    seg = nxt - pts
+    rel = z - pts
+    seg2 = seg.real**2 + seg.imag**2
+    t = np.clip((rel.real * seg.real + rel.imag * seg.imag) / seg2, 0.0, 1.0)
+    dist = float(np.abs(z - (pts + t * seg)).min())
+    if dist <= tol:
+        return 0, dist
+    winding = round(float(np.angle((nxt - z) / (pts - z)).sum()) / (2.0 * math.pi))
+    return (1, dist) if winding != 0 else (-1, -dist)
+
+
+coords = st.floats(-1.5, 1.5, allow_nan=False)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+finite_coord = st.floats(allow_nan=False, allow_infinity=False)
+bad_points = st.one_of(
+    st.builds(complex, non_finite, finite_coord),
+    st.builds(complex, finite_coord, non_finite),
+    st.builds(complex, non_finite, non_finite),
+)
 
 
 class TestPolarTest:
@@ -107,9 +138,57 @@ class TestVectorizedClassifier:
         for n in (3, 5):
             codes, margins = _winding_codes_many(n, pts, 4096, 1e-9, block=37)
             for z, c, m in zip(pts, codes, margins):
-                v = su_region_contains_winding(n, z, 4096, 1e-9)
-                assert STATUS_CODE[v.status.value] == c
-                assert v.signed_margin == pytest.approx(m, abs=1e-12)
+                want_code, want_margin = winding_by_angle_sum(n, z, 4096, 1e-9)
+                assert want_code == c
+                assert want_margin == pytest.approx(m, abs=1e-12)
+
+
+class TestSingleCodePath:
+    """Each scalar oracle is its array core run on one point."""
+
+    @given(st.integers(1, 8), coords, coords)
+    @settings(max_examples=200, deadline=None)
+    def test_polar_scalar_is_core(self, n, x, y):
+        z = complex(x, y)
+        codes, margins = _classify_su_many(n, np.array([z]), 1e-9)
+        v = su_region_contains(n, z, 1e-9)
+        assert STATUS_CODE[v.status.value] == codes[0]
+        assert v.signed_margin == margins[0]
+
+    @given(st.integers(3, 8), st.integers(1024, 8192), coords, coords)
+    @settings(max_examples=60, deadline=None)
+    def test_winding_scalar_is_core(self, n, samples, x, y):
+        z = complex(x, y)
+        codes, margins = _winding_codes_many(n, np.array([z]), samples, 1e-9)
+        v = su_region_contains_winding(n, z, samples, 1e-9)
+        assert STATUS_CODE[v.status.value] == codes[0]
+        assert v.signed_margin == margins[0]
+
+
+class TestNonFiniteInput:
+    @given(bad_points)
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_oracles_reject(self, z):
+        for oracle in (
+            lambda: su_region_contains(3, z),
+            lambda: su_region_contains(1, z),
+            lambda: su_region_contains_winding(3, z, 1024),
+            lambda: u_region_contains(3, z),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                oracle()
+
+    @given(bad_points, st.integers(1, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_cores_classify_outside_with_worst_margin(self, z, n):
+        pts = np.array([0.1 + 0.1j, z])
+        cores = [_classify_su_many(n, pts, 1e-9)]
+        if n >= 3:
+            cores.append(_winding_codes_many(n, pts, 1024, 1e-9))
+        for codes, margins in cores:
+            assert codes[1] == -1
+            assert margins[1] == -np.inf
+            assert np.isfinite(margins[0])
 
 
 class TestUnitDisk:

@@ -261,3 +261,22 @@ class TestChunkIndependence:
         whole = repr(run().to_dict())
         monkeypatch.setattr(verify_module, "_CHUNK", 7)
         assert repr(run().to_dict()) == whole
+
+
+class TestDetailText:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: monte_carlo_containment(3, 100, seed=0),
+            lambda: verify_unit_disk(3, 20, seed=1, grid=5),
+            lambda: verify_so_interval(3, sweep=100, trials=20, seed=1),
+            lambda: verify_preimage(3, 3, seed=1),
+        ],
+    )
+    def test_inputs_do_not_depend_on_numpy_scalar_repr(self, monkeypatch, run):
+        # one NaN product makes the Monte-Carlo report carry a failure record
+        monkeypatch.setattr(
+            verify_module, "_haar_special_unitary_batch", _identity_stack_with_nan
+        )
+        for record in run().details:
+            assert "np." not in record.input
