@@ -119,9 +119,12 @@ def _invert_theta(n: int, targets: np.ndarray) -> np.ndarray:
     """Solve theta_of_alpha(n, x) = target elementwise on [-pi, pi].
 
     Bisection narrows the bracket, guarded Newton polishes where the slope is
-    healthy, and a final bisection sweep exhausts the bracket so the residual
-    reaches the evaluation noise floor.  Near alpha = 0 the slope vanishes
-    quadratically, so Newton steps there are rejected and bisection continues.
+    healthy, and a final bisection sweep narrows the bracket to one ulp of
+    max(|alpha|, 1), where the residual reaches the evaluation noise floor.
+    Near alpha = 0 the slope vanishes quadratically, so Newton steps there
+    are rejected and bisection continues.  The sweep freezes each entry once
+    its own bracket is that narrow, so an entry of a batch equals the same
+    target inverted alone, bit for bit.
     """
     t = np.asarray(targets, np.float64)
     lo = np.full(t.shape, -np.pi)
@@ -144,14 +147,15 @@ def _invert_theta(n: int, targets: np.ndarray) -> np.ndarray:
         ok = (d > 1e-12) & np.isfinite(cand) & (cand > lo) & (cand < hi)
         x = np.where(ok, cand, 0.5 * (lo + hi))
     for _ in range(64):
-        width = hi - lo
-        if not np.any(width > 4e-16 * np.maximum(np.abs(x), 1.0)):
+        active = hi - lo > np.spacing(np.maximum(np.abs(x), 1.0))
+        if not active.any():
             break
         f = theta_of_alpha(n, x) - t
         pos = f > 0.0
         hi = np.where(pos, x, hi)
         lo = np.where(pos, lo, x)
-        x = 0.5 * (lo + hi)
+        # a frozen entry keeps x; its bracket only narrows, so it stays frozen
+        x = np.where(active, 0.5 * (lo + hi), x)
     return np.where(t == 0.0, 0.0, x)
 
 

@@ -139,9 +139,18 @@ def build_homotopy_matrix(n: int, alpha, omega: float) -> np.ndarray:
     omega = float(omega)
     if not (-1e-12 <= omega <= w_hi + 1e-12):
         raise ValueError(f"omega must lie in [0, arctan(sqrt(n-1))] = [0, {w_hi!r}]")
+    return _homotopy_matrix(n, alpha, math.sin(omega) ** 2)
+
+
+def _homotopy_matrix(n: int, alpha, q: float) -> np.ndarray:
+    """Homotopy member at mixing weight q = sin^2(omega) in [0, 1]: the
+    reflection I - (1 - e^{-i a}) v v^T along the unit vector
+    v = (sqrt(1-q), sqrt(q/(n-1)), ...), with its first column turned by
+    e^{i a}.  Every such member is special unitary, also past the boundary
+    weight q = (n-1)/n."""
     a = float(wrap_angle(alpha))
-    v = np.full(n, math.sin(omega) / math.sqrt(n - 1.0))
-    v[0] = math.cos(omega)
+    v = np.full(n, math.sqrt(q / (n - 1.0)))
+    v[0] = math.sqrt(1.0 - q)
     u = np.eye(n, dtype=np.complex128) - (1.0 - np.exp(-1j * a)) * np.outer(v, v)
     u[:, 0] *= np.exp(1j * a)
     return u
@@ -154,13 +163,33 @@ def homotopy_diag_product(n: int, alpha, omega):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    a = np.asarray(alpha, np.float64)
-    w = np.asarray(omega, np.float64)
-    shrink = 1.0 - np.exp(-1j * a)
-    c2 = np.cos(w) ** 2
-    s2 = np.sin(w) ** 2
-    out = np.exp(1j * a) * (1.0 - shrink * c2) * _ipow(1.0 - shrink * s2 / (n - 1.0), n - 1)
+    out = _homotopy_product(n, alpha, np.sin(np.asarray(omega, np.float64)) ** 2)[0]
     return complex(out[()]) if out.ndim == 0 else out
+
+
+def _homotopy_product(n: int, alpha, q):
+    """Diagonal product H = A B^{n-1} of the homotopy member at weight q, with
+    A = 1 + (E - 1) q, B = 1 - (1 - 1/E) q / (n-1) and E = e^{i a}, and its
+    exact partials
+
+        dH/da = i q B^{n-2} (E B - A / E),
+        dH/dq = B^{n-2} ((E - 1) B - (1 - 1/E) A)
+              = (E - 1)^2 / E B^{n-2} (1 - q / q_max),   q_max = (n-1)/n.
+
+    The factored dH/dq has no cancellation near the cusp at a = 0, and shows
+    that it vanishes at q_max for every a: the boundary curve is a fold of
+    the map.  Returns three arrays broadcast from ``alpha`` and ``q``.
+    """
+    e = np.exp(1j * np.asarray(alpha, np.float64))
+    q = np.asarray(q, np.float64)
+    a = 1.0 + (e - 1.0) * q
+    b = 1.0 - (1.0 - 1.0 / e) * q / (n - 1.0)
+    b_pow = _ipow(b, n - 2)
+    return (
+        a * b * b_pow,
+        1j * q * b_pow * (e * b - a / e),
+        (e - 1.0) ** 2 / e * b_pow * (1.0 - q * n / (n - 1.0)),
+    )
 
 
 def build_u_z(n: int, z) -> np.ndarray:

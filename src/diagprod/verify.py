@@ -14,6 +14,7 @@ Non-finite products count as failures.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import alpha_of_theta, gamma, wrap_angle
-from .constructors import (
-    build_homotopy_matrix,
-    build_u_z,
-    homotopy_diag_product,
-    omega_max,
-)
+from .constructors import build_u_z, omega_max, _homotopy_matrix, _homotopy_product
 from .matrices import (
     derive_seed,
     diag_product,
@@ -144,13 +140,16 @@ class OptimizerConfig:
 
 class PreimageConvergenceError(RuntimeError):
     """Raised when the preimage solver cannot meet the tolerance; carries the
-    best residual reached."""
+    best residual reached and, per stage tried, its name and residual."""
 
-    def __init__(self, best_residual: float):
+    def __init__(self, best_residual: float, stages=()):
+        tried = ", ".join(f"{name} {res:.3e}" for name, res in stages)
         super().__init__(
-            f"preimage solver did not converge (best residual {best_residual:.3e})"
+            f"preimage solver did not converge (best residual {best_residual:.3e}"
+            + (f"; tried {tried})" if tried else ")")
         )
         self.best_residual = best_residual
+        self.stages = tuple(stages)
 
 
 def _sorted_details(records: list[CheckRecord]) -> list[CheckRecord]:
@@ -206,184 +205,127 @@ def monte_carlo_containment(
     )
 
 
-def _preimage_grid_starts(n, z, alphas, omegas, count=6):
-    """Best few local minima of the residual over the (alpha, omega) grid,
-    sorted by residual.  The residual landscape can hold several valleys (for
-    real targets one runs along the half-turn line), so the polish step is
-    multi-started rather than trusting the single best cell."""
-    aa, ww = np.meshgrid(alphas, omegas, indexing="ij")
-    res = np.abs(homotopy_diag_product(n, aa, ww) - z)
-    width = res.shape[1]
-    padded = np.full((res.shape[0], width + 2), np.inf)
-    padded[:, 1:-1] = res
-    neighbor_min = np.full_like(res, np.inf)
-    for da in (-1, 0, 1):
-        rolled = np.roll(padded, da, axis=0)  # the alpha axis is periodic
-        for dw in (-1, 0, 1):
-            if da == 0 and dw == 0:
-                continue
-            neighbor_min = np.minimum(
-                neighbor_min, rolled[:, 1 + dw : width + 1 + dw]
-            )
-    ai, wi = np.nonzero(res <= neighbor_min)
-    order = np.argsort(res[ai, wi], kind="stable")
-    picks = []
-    for k in order:
-        cand = (
-            float(aa[ai[k], wi[k]]),
-            float(ww[ai[k], wi[k]]),
-            float(res[ai[k], wi[k]]),
-        )
-        if all(
-            abs(cand[0] - p[0]) > 0.05 or abs(cand[1] - p[1]) > 0.05 for p in picks
-        ):
-            picks.append(cand)
-        if len(picks) >= count:
-            break
-    return picks
+def _cusp_seed(n: int, z: complex) -> tuple[float, float]:
+    """(alpha, q) from the expansion of the homotopy product at the cusp,
+
+        log H = -4x (1 - t/2) + 4i (1 - 1/(n-1)) x^2 cot(alpha/2) (1 - 2t/3) + ...,
+
+    with x = q sin^2(alpha/2) and t = q / q_max, solved for the two
+    parameters given log z (z != 0).  The factors in t are the next order in
+    q, taken at small alpha; they matter near the cusp, where alpha is small
+    but q need not be, and they make the map fold at t = 1.  Eliminating
+    alpha leaves a cubic in t, whose root on the near side of the fold is
+    taken."""
+    log_z = cmath.log(z)
+    u = max(-0.25 * log_z.real, 0.0)
+    v = 0.25 * log_z.imag / (1.0 - 1.0 / (n - 1.0))
+    q_max = (n - 1.0) / n
+    t = 0.0
+    if v:
+        # v^2 (1 - t/2)^3 = u^3 q_max t (1 - 2t/3)^2, decreasing on [0, 1]
+        k = u**3 * q_max / v**2
+        roots = np.roots([-1.0 / 8.0 - 4.0 * k / 9.0, 0.75 + 4.0 * k / 3.0, -1.5 - k, 1.0])
+        real = roots[(np.abs(roots.imag) <= 1e-9) & (roots.real >= 0.0)].real
+        t = min(float(real.min()), 1.0) if real.size else 1.0
+    x = u / (1.0 - 0.5 * t)
+    a = 2.0 * math.copysign(math.atan2(x * x * (1.0 - 2.0 * t / 3.0), abs(v)), v)
+    s2 = math.sin(0.5 * a) ** 2
+    return a, min(x / s2, 1.0) if s2 > 0.0 else 0.0
 
 
-def _preimage_newton(n, z, a, w, w_hi, max_iter=80):
-    """Damped Gauss-Newton descent of |product(a, w) - z| with diagonal
-    (Levenberg-Marquardt) regularization.
+def _boundary_seed(n: int, z: complex) -> tuple[float, float]:
+    """(alpha, q) from the boundary point gamma(alpha_b) at the polar angle of
+    z.  The boundary is the fold q = q_max = (n-1)/n of the map, where
 
-    Near the cusp at product 1 the map is strongly anisotropic (the
-    alpha-derivative nearly vanishes), so a plain Newton solve produces wild
-    ill-conditioned steps; the adaptive diagonal damping keeps progress.
+        H(alpha_b + da, q_max + dq) = gamma(alpha_b) + gamma' da + h dq^2 / 2 + ...,
+
+    with h = d^2H/dq^2 = -(E - 1)^2 B^{n-2} / (E q_max); the two real
+    equations are linear in (da, dq^2), and dq is taken on the side q < q_max."""
+    a = alpha_of_theta(n, cmath.phase(z))
+    q_max = (n - 1.0) / n
+    g, g_a, _ = (complex(v) for v in _homotopy_product(n, a, q_max))
+    e = cmath.exp(1j * a)
+    h = -((e - 1.0) ** 2) / (e * q_max) * (1.0 - (1.0 - 1.0 / e) / n) ** (n - 2)
+    d = z - g
+    det = g_a.real * h.imag - g_a.imag * h.real
+    if det == 0.0:  # alpha_b = 0: the whole line maps to the cusp
+        return a, q_max
+    da = (d.real * h.imag - d.imag * h.real) / det
+    half_dq2 = (g_a.real * d.imag - g_a.imag * d.real) / det
+    return a + da, max(q_max - math.sqrt(2.0 * max(half_dq2, 0.0)), 0.0)
+
+
+def _grid_seed(n: int, z: complex) -> tuple[float, float]:
+    """Best cell of a 256 x 128 scan of (alpha, q) over [-pi, pi] x [0, q_max]."""
+    aa, qq = np.meshgrid(
+        np.linspace(-np.pi, np.pi, 256),
+        np.linspace(0.0, (n - 1.0) / n, 128),
+        indexing="ij",
+    )
+    k = np.unravel_index(np.argmin(np.abs(_homotopy_product(n, aa, qq)[0] - z)), aa.shape)
+    return float(aa[k]), float(qq[k])
+
+
+def _newton(n: int, z: complex, a: float, q: float, max_iter: int = 60):
+    """Damped Newton (Levenberg-Marquardt) descent of |H(alpha, q) - z| on
+    the exact Jacobian of the homotopy product, from (a, q); returns the
+    best (alpha, q, residual).
+
+    q is kept in [0, 1], where every member is special unitary, but may cross
+    the fold at q_max: dH/dq vanishes there, so a solution just inside the
+    boundary may lie on either side of it.  Near the cusp the Jacobian is
+    strongly anisotropic; the diagonal damping shortens the steps that a
+    nearly singular Jacobian would make wild.
     """
-    best = (a, w, abs(complex(homotopy_diag_product(n, a, w)) - z))
-    h = 1e-6
-    lam = 1e-4
+    h, h_a, h_q = (complex(v) for v in _homotopy_product(n, a, q))
+    res = abs(h - z)
+    lam = 1e-6
     for _ in range(max_iter):
-        f = complex(homotopy_diag_product(n, a, w)) - z
-        res = abs(f)
-        if res < best[2]:
-            best = (a, w, res)
-        if res <= 1e-14:
+        if res <= 1e-15:
             break
-        fa = (
-            complex(homotopy_diag_product(n, a + h, w))
-            - complex(homotopy_diag_product(n, a - h, w))
-        ) / (2.0 * h)
-        wp = min(w + h, w_hi)
-        wm = max(w - h, 0.0)
-        fw = (
-            complex(homotopy_diag_product(n, a, wp))
-            - complex(homotopy_diag_product(n, a, wm))
-        ) / (wp - wm)
-        jj_aa = fa.real**2 + fa.imag**2
-        jj_ww = fw.real**2 + fw.imag**2
-        jj_aw = fa.real * fw.real + fa.imag * fw.imag
-        jr_a = fa.real * f.real + fa.imag * f.imag
-        jr_w = fw.real * f.real + fw.imag * f.imag
-        moved = False
-        for _ in range(40):
-            m_aa = jj_aa * (1.0 + lam) + 1e-300
-            m_ww = jj_ww * (1.0 + lam) + 1e-300
-            det = m_aa * m_ww - jj_aw * jj_aw
-            if det <= 0.0:
-                lam = max(lam, 1e-12) * 10.0
-                continue
-            da = (m_ww * jr_a - jj_aw * jr_w) / det
-            dw = (m_aa * jr_w - jj_aw * jr_a) / det
-            a_try = float(wrap_angle(a - da))
-            w_try = min(max(w - dw, 0.0), w_hi)
-            if abs(complex(homotopy_diag_product(n, a_try, w_try)) - z) < res:
-                a, w = a_try, w_try
-                lam = max(lam / 3.0, 1e-12)
-                moved = True
-                break
-            lam = max(lam, 1e-12) * 10.0
-            if lam > 1e16:
-                break
-        if not moved:
+        # normal equations of the real 2 x 2 system J (da, dq) = (Re f, Im f)
+        f = h - z
+        j_aa, j_qq = abs(h_a) ** 2, abs(h_q) ** 2
+        j_aq = (h_a.conjugate() * h_q).real
+        g_a = (h_a.conjugate() * f).real
+        g_q = (h_q.conjugate() * f).real
+        while lam <= 1e16:
+            m_aa = j_aa * (1.0 + lam) + 1e-300
+            m_qq = j_qq * (1.0 + lam) + 1e-300
+            det = m_aa * m_qq - j_aq * j_aq
+            if det > 0.0:
+                a_try = float(wrap_angle(a - (m_qq * g_a - j_aq * g_q) / det))
+                q_try = min(max(q - (m_aa * g_q - j_aq * g_a) / det, 0.0), 1.0)
+                trial = [complex(v) for v in _homotopy_product(n, a_try, q_try)]
+                if abs(trial[0] - z) < res:
+                    a, q, (h, h_a, h_q) = a_try, q_try, trial
+                    res = abs(h - z)
+                    lam = max(lam * 0.1, 1e-12)
+                    break
+            lam *= 10.0
+        else:  # no damping decreases the residual: a local minimum
             break
-    f = abs(complex(homotopy_diag_product(n, a, w)) - z)
-    if f < best[2]:
-        best = (a, w, f)
-    return best
+    return a, q, res
 
 
-def _transverse_omega(n, z, a, w, w_hi, rounds=6):
-    """Minimize |product(a, w) - z| over the well-conditioned omega direction
-    by one-dimensional Gauss-Newton."""
-    h = 1e-7
-    for _ in range(rounds):
-        f = complex(homotopy_diag_product(n, a, w)) - z
-        wp = min(w + h, w_hi)
-        wm = max(w - h, 0.0)
-        fw = (
-            complex(homotopy_diag_product(n, a, wp))
-            - complex(homotopy_diag_product(n, a, wm))
-        ) / (wp - wm)
-        denom = fw.real**2 + fw.imag**2
-        if denom < 1e-30:
-            break
-        w = min(max(w - (fw.real * f.real + fw.imag * f.imag) / denom, 0.0), w_hi)
-    return w, abs(complex(homotopy_diag_product(n, a, w)) - z)
-
-
-def _valley_polish(n, z, a0, w0, w_hi, half_width=0.5, rounds=48):
-    """Shrinking-window search along the residual valley.
-
-    Near the cusp the residual landscape is a long, nearly flat valley whose
-    transverse direction stays well conditioned while gradient steps barely
-    move along it; scanning the valley coordinate with a nested transverse
-    solve walks to the bottom regardless of that flatness.
-    """
-    best = (a0, w0, _transverse_omega(n, z, a0, w0, w_hi)[1])
-    center, width = a0, half_width
-    w_warm = w0
-    for _ in range(rounds):
-        for a in np.linspace(center - width, center + width, 17):
-            a = float(wrap_angle(a))
-            w, res = _transverse_omega(n, z, a, w_warm, w_hi)
-            if res < best[2]:
-                best = (a, w, res)
-        center, w_warm = best[0], best[1]
-        width *= 0.5
-        if best[2] <= 1e-15:
-            break
-    return best
-
-
-def _half_turn_crossing(n: int, x: float) -> float | None:
-    """Mixing angle where the real half-turn sweep attains ``x`` in [lo, 1],
-    found by a scan for a sign change followed by bisection."""
-    w_hi = omega_max(n)
-    ws = np.linspace(0.0, w_hi, 4097)
-    g = np.real(homotopy_diag_product(n, np.pi, ws)) - x
-    sign_change = np.nonzero(g[:-1] * g[1:] <= 0.0)[0]
-    if len(sign_change) == 0:
-        return None
-    k = int(sign_change[0])
-    lo_w, hi_w = float(ws[k]), float(ws[k + 1])
-    g_lo = float(g[k])
-    for _ in range(80):
-        mid = 0.5 * (lo_w + hi_w)
-        g_mid = float(np.real(homotopy_diag_product(n, np.pi, mid))) - x
-        if g_lo * g_mid <= 0.0:
-            hi_w = mid
-        else:
-            lo_w, g_lo = mid, g_mid
-    return 0.5 * (lo_w + hi_w)
-
-
-def preimage(
-    n: int,
-    z,
-    tol: float = 1e-9,
-    grid_alpha: int = 256,
-    grid_omega: int = 128,
-) -> np.ndarray:
+def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
     """Special unitary matrix from the homotopy family whose diagonal product
     is ``z`` up to ``tol`` (z must be inside the region or on its boundary).
 
-    A coarse grid scan over (alpha, omega) picks starting cells, damped
-    Gauss-Newton on the (Re, Im) residual polishes them, and failed polishes
-    fall back to progressively finer grids.  Real targets ride the real
-    half-turn sweep instead: near the cusp at 1 the two-dimensional problem
-    degenerates, while the one-dimensional crossing stays well conditioned.
+    In the coordinates (alpha, q = sin^2 omega) the family's product is
+    H = A B^{n-1} with A = 1 + (e^{i alpha} - 1) q and
+    B = 1 - (1 - e^{-i alpha}) q / (n-1), so its Jacobian is closed form.
+    Damped Newton on that exact Jacobian starts from two closed-form seeds,
+    tried in order of their initial residual: the cusp seed, which inverts
+    the expansion of log H near the cusp at 1, and the boundary seed, which
+    inverts the second-order expansion of H about the boundary point at the
+    polar angle of z.  One coarse grid scan is the only fallback.  The
+    boundary is a fold of the map (dH/dq vanishes at q = (n-1)/n), so q may
+    cross it: every member with q in [0, 1] is special unitary, and clamping
+    at the fold would stall Newton on targets just inside the boundary.
+
+    Raises ``PreimageConvergenceError`` naming each stage tried and the
+    residual it reached when none meets ``tol``.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -393,39 +335,25 @@ def preimage(
     verdict = su_region_contains(n, z, max(tol, 1e-12))
     if verdict.status is Membership.OUTSIDE:
         raise ValueError(f"target {z!r} lies outside the diagonal-product image")
-    w_hi = omega_max(n)
-    interval_lo = so_interval(n)[0]
-    if abs(z.imag) <= 0.5 * tol and interval_lo - tol <= z.real <= 1.0 + tol:
-        w_star = _half_turn_crossing(n, min(max(z.real, interval_lo), 1.0))
-        if w_star is not None:
-            u = build_homotopy_matrix(n, np.pi, w_star)
-            if abs(diag_product(u) - z) <= tol:
-                return u
+    seeds = [("boundary seed", _boundary_seed(n, z))]
+    if z != 0.0:
+        seeds.append(("cusp seed", _cusp_seed(n, z)))
+    seeds.sort(key=lambda s: abs(complex(_homotopy_product(n, *s[1])[0]) - z))
+    seeds.append(("grid", None))
+    stages = []
     best = (0.0, 0.0, math.inf)
-    for ga, gw in ((grid_alpha, grid_omega), (1024, 512), (4096, 1024)):
-        starts = _preimage_grid_starts(
-            n, z, np.linspace(-np.pi, np.pi, int(ga)), np.linspace(0.0, w_hi, int(gw))
-        )
-        for a0, w0, r0 in starts:
-            if r0 < best[2]:
-                best = (a0, w0, r0)
-            if r0 > tol:
-                a1, w1, r1 = _preimage_newton(n, z, a0, w0, w_hi)
-                if r1 < best[2]:
-                    best = (a1, w1, r1)
-            if best[2] <= tol:
-                break
+    for name, seed in seeds:
+        found = _newton(n, z, *(seed or _grid_seed(n, z)))
+        stages.append((name, found[2]))
+        if found[2] < best[2]:
+            best = found
         if best[2] <= tol:
             break
     if best[2] > tol:
-        polished = _valley_polish(n, z, best[0], best[1], w_hi)
-        if polished[2] < best[2]:
-            best = polished
-    if best[2] > tol:
-        raise PreimageConvergenceError(best[2])
-    u = build_homotopy_matrix(n, best[0], best[1])
+        raise PreimageConvergenceError(best[2], stages)
+    u = _homotopy_matrix(n, best[0], best[1])
     if abs(diag_product(u) - z) > tol:
-        raise PreimageConvergenceError(abs(diag_product(u) - z))
+        raise PreimageConvergenceError(abs(diag_product(u) - z), stages)
     return u
 
 

@@ -144,9 +144,21 @@ class TestAlphaOfTheta:
         thetas = np.linspace(-np.pi, np.pi, 101)
         for n in (3, 5, 9):
             scalar = np.array([alpha_of_theta(n, t) for t in thetas])
-            # the final bisection sweep stops when the whole array has
-            # converged, so entries may differ from the scalar ones by ulps
-            assert np.abs(alpha_of_theta(n, thetas) - scalar).max() <= 1e-12
+            assert np.array_equal(alpha_of_theta(n, thetas), scalar)
+
+    @given(
+        st.integers(3, 12),
+        st.floats(-np.pi, np.pi),
+        st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=40),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_entry_matches_scalar_property(self, n, theta, others, slot):
+        # regression: the final bisection sweep ran until the whole batch had
+        # converged, so an entry's last bits depended on its neighbours
+        slot = min(slot, len(others))
+        batch = np.array(others[:slot] + [theta] + others[slot:])
+        assert alpha_of_theta(n, batch)[slot] == alpha_of_theta(n, theta)
 
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import diagprod.verify as verify_module
 from diagprod import gamma, is_special_unitary
 from diagprod.cli import main
 
@@ -209,6 +210,17 @@ class TestPreimageCommand:
     def test_outside_point_is_usage_error(self, capsys):
         rc = main(["preimage", "--n", "3", "--re", "2", "--im", "0"])
         assert rc == 2
+
+    def test_unconverged_solve_names_stages(self, monkeypatch, capsys):
+        newton = verify_module._newton
+        monkeypatch.setattr(
+            verify_module, "_newton", lambda n, z, a, q: newton(n, z, a, q, max_iter=0)
+        )
+        rc = main(["preimage", "--n", "4", "--re", "0.2", "--im", "0.1"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        for stage in ("cusp seed", "boundary seed", "grid"):
+            assert stage in err
 
 
 class TestVerifyCommand:

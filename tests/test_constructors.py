@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagprod.boundary as boundary_module
+from diagprod.constructors import _homotopy_matrix, _homotopy_product
 
 from diagprod import (
     ExtremalDecomposition,
@@ -152,6 +155,33 @@ class TestHomotopyFamily:
                 assert is_special_unitary(u, 1e-10)
                 got = diag_product(u)
                 assert abs(got - homotopy_diag_product(n, alpha, omega)) <= 1e-12
+
+    @given(st.integers(3, 12), st.floats(-np.pi, np.pi), st.floats(0.01, 0.99))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_partials_match_central_differences(self, n, alpha, q):
+        h = 1e-6
+        _, d_alpha, d_q = _homotopy_product(n, alpha, q)
+        ref_alpha = (
+            _homotopy_product(n, alpha + h, q)[0] - _homotopy_product(n, alpha - h, q)[0]
+        ) / (2.0 * h)
+        ref_q = (
+            _homotopy_product(n, alpha, q + h)[0] - _homotopy_product(n, alpha, q - h)[0]
+        ) / (2.0 * h)
+        assert abs(d_alpha - ref_alpha) <= 1e-8
+        assert abs(d_q - ref_q) <= 1e-8
+
+    @given(st.integers(2, 12), st.floats(-np.pi, np.pi), st.floats(0.0, 1.5))
+    @settings(max_examples=100, deadline=None)
+    def test_public_product_is_the_core(self, n, alpha, omega):
+        core = complex(_homotopy_product(n, alpha, np.sin(omega) ** 2)[0])
+        assert homotopy_diag_product(n, alpha, omega) == core
+
+    def test_members_past_the_fold_are_special_unitary(self):
+        for n in (3, 5, 9):
+            for q in (0.0, (n - 1.0) / n, 0.95, 1.0):
+                u = _homotopy_matrix(n, 2.1, q)
+                assert is_special_unitary(u, 1e-12)
+                assert abs(diag_product(u) - _homotopy_product(n, 2.1, q)[0]) <= 1e-12
 
     def test_rejects_omega_outside_interval(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,13 @@ spec-scale workloads)."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diagprod.verify as verify_module
 from diagprod import (
     OptimizerConfig,
+    PreimageConvergenceError,
     alpha_of_theta,
     constrained_max_numeric,
     diag_product,
@@ -15,6 +18,7 @@ from diagprod import (
     monte_carlo_containment,
     preimage,
     recognize_extremal,
+    so_interval,
     verify_preimage,
     verify_unit_disk,
     verify_so_interval,
@@ -78,8 +82,8 @@ class TestPreimage:
             assert rep.worst_margin >= 0
 
     def test_cusp_adjacent_targets(self):
-        # near the cusp at 1 the map degenerates; real targets ride the
-        # half-turn sweep and near-real ones the valley-following fallback
+        # near the cusp at 1 the map degenerates: alpha is poorly determined
+        # and the boundary fold is close, so Newton needs the cusp seed there
         from diagprod import radius_of_theta, so_interval
 
         for n in (3, 4, 5):
@@ -104,6 +108,54 @@ class TestPreimage:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             preimage(2, 0.5)
+
+
+def _assert_solves(n, z):
+    u = preimage(n, z, tol=1e-8)
+    assert abs(diag_product(u) - z) <= 1e-8, (n, z)
+    assert is_special_unitary(u, 1e-10), (n, z)
+
+
+_LOG_ALPHA = st.floats(-4.0, float(np.log10(np.pi))).map(lambda e: 10.0**e)
+
+
+class TestPreimageDomain:
+    @given(
+        st.integers(3, 20),
+        st.tuples(st.sampled_from((-1.0, 1.0)), _LOG_ALPHA).map(lambda p: p[0] * p[1]),
+        st.floats(-7.0, -1.0).map(lambda e: 10.0**e),
+    )
+    @example(3, -0.0164, 4.6e-3)  # the benchmark's fixed near-cusp target
+    @settings(max_examples=300, deadline=None)
+    def test_targets_below_the_boundary(self, n, alpha, depth):
+        _assert_solves(n, (1.0 - depth) * gamma(n, alpha))
+
+    @given(st.integers(3, 20), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_real_targets(self, n, frac):
+        lo, hi = so_interval(n)
+        _assert_solves(n, complex(lo + frac * (hi - lo), 0.0))
+
+    def test_origin(self):
+        for n in range(3, 21):
+            _assert_solves(n, 0.0)
+
+
+class TestPreimageStages:
+    def test_error_names_each_stage(self, monkeypatch):
+        newton = verify_module._newton
+        monkeypatch.setattr(
+            verify_module, "_newton", lambda n, z, a, q: newton(n, z, a, q, max_iter=0)
+        )
+        with pytest.raises(PreimageConvergenceError) as info:
+            preimage(4, 0.2 + 0.1j)
+        err = info.value
+        names = [name for name, _ in err.stages]
+        assert sorted(names[:2]) == ["boundary seed", "cusp seed"]
+        assert names[2:] == ["grid"]
+        assert err.best_residual == min(res for _, res in err.stages)
+        for name, res in err.stages:
+            assert f"{name} {res:.3e}" in str(err)
 
 
 class TestConstrainedMax:
