@@ -94,6 +94,18 @@ def gamma_derivative(n: int, alpha):
     return complex(out[()]) if a.ndim == 0 else out
 
 
+def _theta(n: int, a: np.ndarray) -> np.ndarray:
+    """theta_of_alpha on angles already in [-pi, pi]."""
+    return a - n * np.arctan(np.sin(a) / (n - 1.0 + np.cos(a)))
+
+
+def _theta_slope(n: int, a: np.ndarray) -> np.ndarray:
+    """theta_derivative on angles already in [-pi, pi]."""
+    s2 = np.sin(0.5 * a) ** 2
+    c2 = np.cos(0.5 * a) ** 2
+    return 2.0 * (n - 1.0) * (n - 2.0) * s2 / ((n - 2.0) ** 2 + 4.0 * (n - 1.0) * c2)
+
+
 def theta_of_alpha(n: int, alpha):
     """Polar angle of gamma(alpha): alpha - n*arctan(sin a / (n-1+cos a)).
 
@@ -101,7 +113,7 @@ def theta_of_alpha(n: int, alpha):
     """
     n = _check_n(n, 3)
     a = np.asarray(wrap_angle(alpha), np.float64)
-    out = a - n * np.arctan(np.sin(a) / (n - 1.0 + np.cos(a)))
+    out = _theta(n, a)
     return float(out[()]) if a.ndim == 0 else out
 
 
@@ -109,9 +121,7 @@ def theta_derivative(n: int, alpha):
     """d theta / d alpha; nonnegative, zero only at alpha = 0."""
     n = _check_n(n, 3)
     a = np.asarray(wrap_angle(alpha), np.float64)
-    s2 = np.sin(0.5 * a) ** 2
-    c2 = np.cos(0.5 * a) ** 2
-    out = 2.0 * (n - 1.0) * (n - 2.0) * s2 / ((n - 2.0) ** 2 + 4.0 * (n - 1.0) * c2)
+    out = _theta_slope(n, a)
     return float(out[()]) if a.ndim == 0 else out
 
 
@@ -126,22 +136,23 @@ def _invert_theta(n: int, targets: np.ndarray) -> np.ndarray:
     its own bracket is that narrow, so an entry of a batch equals the same
     target inverted alone, bit for bit.
     """
+    n = int(n)
     t = np.asarray(targets, np.float64)
     lo = np.full(t.shape, -np.pi)
     hi = np.full(t.shape, np.pi)
     x = np.zeros(t.shape)
     for _ in range(22):
-        f = theta_of_alpha(n, x) - t
+        f = _theta(n, x) - t
         pos = f > 0.0
         hi = np.where(pos, x, hi)
         lo = np.where(pos, lo, x)
         x = 0.5 * (lo + hi)
     for _ in range(8):
-        f = theta_of_alpha(n, x) - t
+        f = _theta(n, x) - t
         pos = f > 0.0
         hi = np.where(pos, x, hi)
         lo = np.where(pos, lo, x)
-        d = theta_derivative(n, x)
+        d = _theta_slope(n, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = x - f / d
         ok = (d > 1e-12) & np.isfinite(cand) & (cand > lo) & (cand < hi)
@@ -150,7 +161,7 @@ def _invert_theta(n: int, targets: np.ndarray) -> np.ndarray:
         active = hi - lo > np.spacing(np.maximum(np.abs(x), 1.0))
         if not active.any():
             break
-        f = theta_of_alpha(n, x) - t
+        f = _theta(n, x) - t
         pos = f > 0.0
         hi = np.where(pos, x, hi)
         lo = np.where(pos, lo, x)

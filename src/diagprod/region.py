@@ -134,6 +134,29 @@ def so_interval(n: int) -> tuple[float, float]:
     return (lo, 1.0)
 
 
+# consecutive polyline segments that share one bounding box
+_RUN = 64
+
+
+def _run_vertices(runs: np.ndarray, samples: int) -> np.ndarray:
+    """Polyline vertex indices of each run: the starts of its segments and the
+    vertex that closes its last one, shape ``runs.shape + (_RUN + 1,)``."""
+    idx = np.minimum(runs[..., None] * _RUN + np.arange(_RUN + 1), samples)
+    return idx % samples
+
+
+@lru_cache(maxsize=32)
+def _polyline_boxes(n: int, samples: int) -> np.ndarray:
+    """Rows xmin, xmax, ymin, ymax of the bounding box of each run of ``_RUN``
+    consecutive segments of the boundary polyline (the last run may be
+    shorter)."""
+    pts = _boundary_polyline(n, samples)
+    v = pts[_run_vertices(np.arange(-(-samples // _RUN)), samples)]
+    boxes = np.stack([v.real.min(1), v.real.max(1), v.imag.min(1), v.imag.max(1)])
+    boxes.flags.writeable = False
+    return boxes
+
+
 def _winding_codes_many(
     n: int, zs: np.ndarray, samples: int = 8192, tol: float = 1e-9, block: int = 512
 ):
@@ -143,24 +166,57 @@ def _winding_codes_many(
     Returns (codes, margins); points are processed in blocks to bound memory.
     The winding number is counted through signed horizontal-ray crossings
     (multiplication-only, exact for points off the polyline).
+
+    Each point tests only the segments of the runs whose bounding box can
+    matter, with the same per-segment arithmetic as a test of every segment,
+    so codes and margins equal that test bit for bit.  A run is kept when
+    its box is no farther than the nearest vertex of the nearest box (that
+    vertex bounds the nearest-segment distance from above), or when the box
+    spans the point's height and reaches the right of it (only such a segment
+    can cross the rightward ray).  The slack constants keep the pruning exact
+    under rounding: the crossing predicates compare rounded differences,
+    which can misplace a segment's end by an ulp of the unit disk (1e-12
+    covers it), and a computed distance is off by an ulp of the point's
+    coordinates, which the relative 1e-9 and the absolute 1e-12 on the
+    distance bound cover.
     """
     if n < 3:
         raise ValueError("the winding oracle needs n >= 3")
     zs = np.asarray(zs, np.complex128).reshape(-1)
     finite = np.isfinite(zs)
     zs = np.where(finite, zs, 0.0)
-    pts = _boundary_polyline(n, int(samples))
-    nxt = np.roll(pts, -1)
-    px, py = pts.real[None, :], pts.imag[None, :]
-    sx, sy = (nxt - pts).real[None, :], (nxt - pts).imag[None, :]
-    inv_seg2 = 1.0 / (sx**2 + sy**2)
+    samples = int(samples)
+    pts = _boundary_polyline(n, samples)
+    xmin, xmax, ymin, ymax = _polyline_boxes(n, samples)
+    offsets = np.arange(_RUN)
     codes = np.empty(len(zs), np.int8)
     margins = np.empty(len(zs))
     for start in range(0, len(zs), block):
-        zx = zs[start : start + block].real[:, None]
-        zy = zs[start : start + block].imag[:, None]
-        dx = zx - px
-        dy = zy - py
+        z = zs[start : start + block]
+        zx = z.real[:, None]
+        zy = z.imag[:, None]
+        gx = np.maximum(np.maximum(xmin - zx, zx - xmax), 0.0)
+        gy = np.maximum(np.maximum(ymin - zy, zy - ymax), 0.0)
+        lb2 = gx * gx + gy * gy
+        v = pts[_run_vertices(lb2.argmin(axis=1), samples)]
+        vx = zx - v.real
+        vy = zy - v.imag
+        ub = np.sqrt((vx * vx + vy * vy).min(axis=1, keepdims=True))
+        reach = ub * (1.0 + 1e-9) + 1e-12
+        near = lb2 <= reach * reach
+        ray = (ymin - 1e-12 <= zy) & (zy <= ymax + 1e-12) & (xmax >= zx - 1e-12)
+        rows, runs = np.nonzero(near | ray)
+        seg = (runs[:, None] * _RUN + offsets).reshape(-1)
+        row = np.repeat(rows, _RUN)
+        real = seg < samples  # the last run may be shorter
+        seg, row = seg[real], row[real]
+        p = pts[seg]
+        s = pts[(seg + 1) % samples] - p
+        px, py = p.real, p.imag
+        sx, sy = s.real, s.imag
+        inv_seg2 = 1.0 / (sx**2 + sy**2)
+        dx = z.real[row] - px
+        dy = z.imag[row] - py
         # signed horizontal-ray crossings: an upward edge with z strictly to
         # its left adds one turn, a downward edge with z strictly to its
         # right removes one
@@ -168,7 +224,9 @@ def _winding_codes_many(
         is_left -= sy * dx
         up = (dy >= 0.0) & (sy > dy) & (is_left > 0.0)
         down = (dy < 0.0) & (sy <= dy) & (is_left < 0.0)
-        winding = up.sum(axis=1) - down.sum(axis=1)
+        winding = np.bincount(row[up], minlength=len(z)) - np.bincount(
+            row[down], minlength=len(z)
+        )
         # nearest-segment distance, reusing the offset buffers
         t = dx * sx
         t += dy * sy
@@ -179,7 +237,9 @@ def _winding_codes_many(
         dx *= dx
         dy *= dy
         dx += dy
-        dist = np.sqrt(dx.min(axis=1))
+        dist2 = np.full(len(z), np.inf)
+        np.minimum.at(dist2, row, dx)
+        dist = np.sqrt(dist2)
         on_edge = dist <= tol
         inside = (winding != 0) & ~on_edge
         codes[start : start + block] = np.where(on_edge, 0, np.where(inside, 1, -1))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from diagprod import boundary
 from diagprod import (
     alpha_of_theta,
     big_gamma,
@@ -159,6 +160,17 @@ class TestAlphaOfTheta:
         slot = min(slot, len(others))
         batch = np.array(others[:slot] + [theta] + others[slot:])
         assert alpha_of_theta(n, batch)[slot] == alpha_of_theta(n, theta)
+
+    def test_inversion_loops_skip_wrap_angle(self, monkeypatch):
+        # regression: each iteration re-wrapped angles that the bracket keeps
+        # inside [-pi, pi], which made wrap_angle the bulk of an inversion
+        calls = []
+        unwrapped = boundary.wrap_angle
+        monkeypatch.setattr(boundary, "wrap_angle", lambda x: calls.append(x) or unwrapped(x))
+        for n in (3, 5, 12):
+            boundary._invert_theta(n, np.linspace(-np.pi, np.pi, 9))
+            boundary._invert_theta(n, np.array([0.7]))
+        assert len(calls) == 0
 
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):

@@ -16,7 +16,13 @@ from diagprod import (
     su_region_contains_winding,
     u_region_contains,
 )
-from diagprod.region import _boundary_polyline, _classify_su_many, _winding_codes_many
+from diagprod.region import (
+    _boundary_polyline,
+    _classify_su_many,
+    _RUN,
+    _polyline_boxes,
+    _winding_codes_many,
+)
 
 STATUS_CODE = {"Inside": 1, "OnBoundary": 0, "Outside": -1}
 
@@ -36,6 +42,51 @@ def winding_by_angle_sum(n, z, samples, tol):
         return 0, dist
     winding = round(float(np.angle((nxt - z) / (pts - z)).sum()) / (2.0 * math.pi))
     return (1, dist) if winding != 0 else (-1, -dist)
+
+
+def winding_by_broadcast(n, zs, samples, tol, block):
+    """Reference for the pruned winding core: every point against every
+    segment, with the core's crossing predicate and distance expression.
+    Returns (codes, margins) as the core does."""
+    zs = np.asarray(zs, np.complex128).reshape(-1)
+    finite = np.isfinite(zs)
+    zs = np.where(finite, zs, 0.0)
+    pts = _boundary_polyline(n, samples)
+    nxt = np.roll(pts, -1)
+    px, py = pts.real[None, :], pts.imag[None, :]
+    sx, sy = (nxt - pts).real[None, :], (nxt - pts).imag[None, :]
+    inv_seg2 = 1.0 / (sx**2 + sy**2)
+    codes = np.empty(len(zs), np.int8)
+    margins = np.empty(len(zs))
+    for start in range(0, len(zs), block):
+        zx = zs[start : start + block].real[:, None]
+        zy = zs[start : start + block].imag[:, None]
+        dx = zx - px
+        dy = zy - py
+        is_left = sx * dy
+        is_left -= sy * dx
+        up = (dy >= 0.0) & (sy > dy) & (is_left > 0.0)
+        down = (dy < 0.0) & (sy <= dy) & (is_left < 0.0)
+        winding = up.sum(axis=1) - down.sum(axis=1)
+        t = dx * sx
+        t += dy * sy
+        t *= inv_seg2
+        np.clip(t, 0.0, 1.0, out=t)
+        dx -= t * sx
+        dy -= t * sy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dist = np.sqrt(dx.min(axis=1))
+        on_edge = dist <= tol
+        inside = (winding != 0) & ~on_edge
+        codes[start : start + block] = np.where(on_edge, 0, np.where(inside, 1, -1))
+        margins[start : start + block] = np.where(
+            on_edge, dist, np.where(inside, dist, -dist)
+        )
+    codes[~finite] = -1
+    margins[~finite] = -np.inf
+    return codes, margins
 
 
 coords = st.floats(-1.5, 1.5, allow_nan=False)
@@ -141,6 +192,60 @@ class TestVectorizedClassifier:
                 want_code, want_margin = winding_by_angle_sum(n, z, 4096, 1e-9)
                 assert want_code == c
                 assert want_margin == pytest.approx(m, abs=1e-12)
+
+
+@st.composite
+def winding_cases(draw):
+    """(n, samples, block, points): points drawn where the pruning is
+    tightest: polyline vertices, points on segments, points at vertex
+    heights, a band of 1e-13..1e-3 across a segment, and non-finite points,
+    mixed with uniform ones."""
+    n = draw(st.integers(3, 30))
+    samples = draw(st.integers(1024, 8192))
+    block = draw(st.integers(1, 600))
+    pts = _boundary_polyline(n, samples)
+    seg = np.roll(pts, -1) - pts
+    index = st.integers(0, samples - 1)
+    fraction = st.floats(0.0, 1.0)
+    offset = st.builds(
+        lambda sign, power: sign * 10.0**power, st.sampled_from([-1.0, 1.0]), st.floats(-13, -3)
+    )
+    point = st.one_of(
+        st.builds(complex, coords, coords),
+        index.map(lambda k: pts[k]),
+        st.builds(lambda k, t: pts[k] + t * seg[k], index, fraction),
+        st.builds(lambda k, x: complex(x, pts[k].imag), index, coords),
+        st.builds(
+            lambda k, t, d: pts[k] + t * seg[k] + d * 1j * seg[k] / abs(seg[k]),
+            index, fraction, offset,
+        ),
+        bad_points,
+    )
+    return n, samples, block, draw(st.lists(point, min_size=1, max_size=80))
+
+
+class TestPrunedWinding:
+    """The winding core prunes segments by run bounding boxes; codes and
+    margins must equal the all-segments reference bit for bit."""
+
+    @given(winding_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_broadcast_reference(self, case):
+        n, samples, block, points = case
+        zs = np.array(points, np.complex128)
+        codes, margins = _winding_codes_many(n, zs, samples, 1e-9, block)
+        want_codes, want_margins = winding_by_broadcast(n, zs, samples, 1e-9, block)
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(margins, want_margins)
+
+    def test_boxes_hold_every_segment(self):
+        for n, samples in ((3, 1024), (7, 1500), (4, 8192)):
+            pts = _boundary_polyline(n, samples)
+            xmin, xmax, ymin, ymax = _polyline_boxes(n, samples)
+            run = np.arange(samples) // _RUN
+            for end in (pts, np.roll(pts, -1)):
+                assert np.all((xmin[run] <= end.real) & (end.real <= xmax[run]))
+                assert np.all((ymin[run] <= end.imag) & (end.imag <= ymax[run]))
 
 
 class TestSingleCodePath:
