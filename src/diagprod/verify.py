@@ -15,9 +15,11 @@ Non-finite products count as failures.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .constructors import build_u_z, omega_max, _homotopy_matrix, _homotopy_prod
 from .matrices import (
     derive_seed,
     diag_product,
-    haar_special_unitary,
     is_special_unitary,
     _haar_special_orthogonal_batch,
     _haar_special_unitary_batch,
@@ -125,17 +126,14 @@ class OptimizerConfig:
     tol_constraint: float = 1e-6
 
     def validate(self) -> None:
-        for name in (
-            "restarts",
-            "max_iterations",
-            "step_init",
-            "constraint_penalty_init",
-            "penalty_growth",
-            "tol_value",
-            "tol_constraint",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        """Raise ValueError naming the first field that is not a positive
+        integer (the two counts) or a finite positive number (the rest)."""
+        for item in fields(self):
+            value, count = getattr(self, item.name), item.name in ("restarts", "max_iterations")
+            kind = numbers.Integral if count else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
+                what = "positive integer" if count else "finite positive number"
+                raise ValueError(f"{item.name} must be a {what}, got {value!r}")
 
 
 class PreimageConvergenceError(RuntimeError):
@@ -157,7 +155,7 @@ def _sorted_details(records: list[CheckRecord]) -> list[CheckRecord]:
 
 
 def _diag_products(mats: np.ndarray) -> np.ndarray:
-    return np.prod(np.diagonal(mats, axis1=-2, axis2=-1), axis=-1)
+    return np.multiply.reduce(mats.diagonal(0, -2, -1), axis=-1)
 
 
 def monte_carlo_containment(
@@ -423,96 +421,100 @@ def verify_preimage(
 
 
 _PENALTY_STAGES = 7  # initial penalty plus six escalations
-_FD_STEP = 1e-6
-_COS_H = math.cos(_FD_STEP)
-_SIN_H = math.sin(_FD_STEP)
+_HALVINGS = 0.5 ** np.arange(4)  # one line-search call tries s, s/2, s/4, s/8
 
 
-def _penalized(w: complex, p: complex, mu: float) -> float:
-    t = w * p
-    return t.real - mu * t.imag * t.imag
+@functools.lru_cache(maxsize=None)
+def _others(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column k lists the indices other than k; and the off-diagonal mask."""
+    return np.array([[i + (i >= k) for k in range(n)] for i in range(n - 1)]), 1.0 - np.eye(n)
 
 
-def _fd_gradient(u, w, mu, pairs):
-    """Central finite differences of the penalized objective along the
-    off-diagonal tangent generators; single-generator moves touch only two
-    rows, so only two diagonal entries change.
+def _tangent(u: np.ndarray, kw) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of the stack u: the generator a along which exp(s a) u
+    raises Re(kw p) fastest, p the diagonal product, and that rate
+    sqrt(sum |a|^2 / 2).  p moves along X at rate tr(X q), q = u diag(P),
+    P_k the product of the diagonal entries other than the k-th (gathered,
+    not divided); over the rotation and imaginary mixing generators of the
+    pairs j < k (diagonal phase moves leave p unchanged), the gradient is
+    a = q^H - q, with kw folded into q and its diagonal dropped."""
+    idx, off = _others(u.shape[-1])
+    scale = np.reshape(kw, (-1, 1)) * np.multiply.reduce(u.diagonal(0, -2, -1)[:, idx], axis=1)
+    q = u * scale[:, None, :] * off
+    a = q.conj().swapaxes(-1, -2) - q
+    return a, math.sqrt(0.5) * np.linalg.norm(a, axis=(1, 2))
 
-    Zero-sum diagonal phase moves leave the diagonal product unchanged, hence
-    contribute exactly zero gradient and are omitted.
-    """
-    d = np.diagonal(u)
-    grad = np.empty(2 * len(pairs))
-    for idx, (j, k) in enumerate(pairs):
-        mask = np.ones(len(d), bool)
-        mask[j] = False
-        mask[k] = False
-        rest = complex(np.prod(d[mask]))
-        ujj, ukk = complex(u[j, j]), complex(u[k, k])
-        ujk, ukj = complex(u[j, k]), complex(u[k, j])
-        # rotation generator
-        p_plus = rest * (_COS_H * ujj - _SIN_H * ukj) * (_SIN_H * ujk + _COS_H * ukk)
-        p_minus = rest * (_COS_H * ujj + _SIN_H * ukj) * (-_SIN_H * ujk + _COS_H * ukk)
-        grad[2 * idx] = (_penalized(w, p_plus, mu) - _penalized(w, p_minus, mu)) / (
-            2.0 * _FD_STEP
-        )
-        # imaginary mixing generator
-        p_plus = rest * (_COS_H * ujj + 1j * _SIN_H * ukj) * (
-            1j * _SIN_H * ujk + _COS_H * ukk
-        )
-        p_minus = rest * (_COS_H * ujj - 1j * _SIN_H * ukj) * (
-            -1j * _SIN_H * ujk + _COS_H * ukk
-        )
-        grad[2 * idx + 1] = (_penalized(w, p_plus, mu) - _penalized(w, p_minus, mu)) / (
-            2.0 * _FD_STEP
-        )
-    return grad
+
+def _moved(v: np.ndarray, lam: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp(s a) u per matrix, given (lam, v) = eigh(i a) and b = v^H u."""
+    return v @ (np.exp(-1j * s[:, None] * lam)[:, :, None] * b)
 
 
 def _reunitarize(u: np.ndarray) -> np.ndarray:
     # one Newton-Schulz step; squares the (tiny) orthonormality defect
-    return u @ (1.5 * np.eye(u.shape[0]) - 0.5 * (u.conj().T @ u))
+    return u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
 
 
-def _penalty_ascent(u, w, mu, cfg: OptimizerConfig, pairs):
-    value = _penalized(w, diag_product(u), mu)
-    step = cfg.step_init
-    stall = 0
+def _penalty_ascent(u: np.ndarray, w: complex, mu: float, cfg: OptimizerConfig) -> np.ndarray:
+    """Ascent of Re(w p) - mu Im(w p)^2, p the diagonal product, for all
+    matrices of the stack u in lockstep; each keeps its own value, step,
+    stall count and stop (a stopped one is masked out).  A step moves u to
+    exp(s a / g) u, a and g from ``_tangent``; the Armijo rule starts at
+    min(2 step, step_init) and halves s until the value rises by more than
+    1e-4 s g, or s < 1e-12.  With (lam, V) = eigh(i a) and b = V^H u, the
+    moved diagonal is sum_m V[i, m] exp(-i s lam_m) b[m, i], so s, s/2, s/4
+    and s/8 are tried in one call and only the first that passes builds the
+    full matrix.  Moving matrices are reunitarized every 128 iterations."""
+    t = w * _diag_products(u)
+    value, step = t.real - mu * t.imag**2, np.full(len(u), cfg.step_init)
+    stall, live, rows = np.zeros(len(u), np.int64), np.ones(len(u), bool), np.arange(len(u))
     for it in range(cfg.max_iterations):
-        grad = _fd_gradient(u, w, mu, pairs)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-11:
+        a, gnorm = _tangent(u, w * (1.0 + 2j * mu * t.imag))
+        live &= gnorm >= 1e-11
+        if not live.any():
             break
-        direction = grad / gnorm
-        a = np.zeros_like(u)
-        for idx, (j, k) in enumerate(pairs):
-            gx, gy = direction[2 * idx], direction[2 * idx + 1]
-            a[j, k] += -gx + 1j * gy
-            a[k, j] += gx + 1j * gy
-        ew, ev = np.linalg.eigh(1j * a)
-        s = min(2.0 * step, cfg.step_init)
-        improved = False
-        while s >= 1e-12:
-            mover = (ev * np.exp(-1j * s * ew)) @ ev.conj().T
-            u_try = mover @ u
-            v_try = _penalized(w, diag_product(u_try), mu)
-            if v_try > value + 1e-4 * s * gnorm:
-                gain = v_try - value
-                u, value, step = u_try, v_try, s
-                improved = True
-                break
-            s *= 0.5
-        if not improved:
-            break
-        if gain <= cfg.tol_value * (1.0 + abs(value)):
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
+        lam, v = np.linalg.eigh(1j * a)
+        lam /= np.where(live, gnorm, 1.0)[:, None]
+        b = v.conj().swapaxes(-1, -2) @ u
+        c = v * b.swapaxes(-1, -2)
+        s = np.minimum(2.0 * step, cfg.step_init)
+        found, pending = value, live
+        while pending.any():
+            trial = s[:, None] * _HALVINGS
+            t_try = w * np.multiply.reduce(c @ np.exp(-1j * lam[:, :, None] * trial[:, None, :]), axis=1)
+            v_try = t_try.real - mu * t_try.imag**2
+            ok = (v_try > value[:, None] + 1e-4 * trial * gnorm[:, None]) & (trial >= 1e-12)
+            ok &= pending[:, None]
+            hit, first = ok.any(axis=1), ok.argmax(axis=1)
+            found = np.where(hit, v_try[rows, first], found)
+            s = np.where(hit, trial[rows, first], np.where(pending, s / 16.0, s))
+            pending = pending & ~hit & (s >= 1e-12)
+        live &= found > value
+        u = np.where(live[:, None, None], _moved(v, lam, b, s), u)
+        gain, value, step = found - value, found, s
+        stall = np.where(gain <= cfg.tol_value * (1.0 + np.abs(value)), stall + 1, 0)
+        live &= stall < 3
         if (it + 1) % 128 == 0:
-            u = _reunitarize(u)
+            u = np.where(live[:, None, None], _reunitarize(u), u)
+        t = w * _diag_products(u)
     return _reunitarize(u)
+
+
+def _onto_ray(u: np.ndarray, w: complex, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(matrices, w p) after up to two Newton steps on Im(w p) = 0 along the
+    generator that moves it fastest, for each matrix with |Im(w p)| <= tol;
+    a step is kept only where it lowers |Im(w p)|: that gradient is 0 at p = 1."""
+    t = w * _diag_products(u)
+    for _ in range(2):
+        a, gnorm = _tangent(u, -1j * w)
+        lam, v = np.linalg.eigh(1j * a)
+        sigma = np.where(gnorm > 1e-150, -t.imag / np.maximum(gnorm, 1e-150) ** 2, 0.0)
+        u_try = _moved(v, lam, v.conj().swapaxes(-1, -2) @ u, sigma)
+        t_try = w * _diag_products(u_try)
+        keep = (np.abs(t_try.imag) < np.abs(t.imag)) & (np.abs(t.imag) <= tol)
+        u = np.where(keep[:, None, None], u_try, u)
+        t = np.where(keep, t_try, t)
+    return u, t
 
 
 def constrained_max_numeric(
@@ -522,12 +524,15 @@ def constrained_max_numeric(
     seed: int = 0,
 ) -> VerificationReport:
     """Numerically maximize Re(e^{-i theta} diag product) over SU(n) subject
-    to Im(e^{-i theta} diag product) = 0, by penalty ascent with random
-    restarts, and compare with the analytic boundary radius at ``theta``.
+    to Im(e^{-i theta} diag product) = 0, and compare with the analytic
+    boundary radius at ``theta``.
 
-    Restarts that do not drive the constraint residual within
-    ``tol_constraint`` count as failures; ``worst_margin`` is the gap
-    target - best feasible value (negative means the bound was exceeded).
+    All restarts run one lockstep penalty ascent on the exact gradient, and
+    guarded Newton steps then move each feasible result onto the ray.
+    Restarts whose ascent leaves the constraint residual above
+    ``tol_constraint`` count as failures; the values, the best matrix and
+    ``worst_margin`` = target - best feasible value (negative means the bound
+    was exceeded) are taken on the ray.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -537,42 +542,37 @@ def constrained_max_numeric(
     th = float(wrap_angle(theta))
     target = float(abs(gamma(n, alpha_of_theta(n, th))))
     w = complex(np.exp(-1j * th))
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    u = _haar_special_unitary_batch(n, seed, cfg.restarts)
+    mu = cfg.constraint_penalty_init
+    for _ in range(_PENALTY_STAGES):
+        u = _penalty_ascent(u, w, mu, cfg)
+        mu *= cfg.penalty_growth
+    residuals = np.abs((w * _diag_products(u)).imag)
+    u, t = _onto_ray(u, w, cfg.tol_constraint)
     details = []
-    best_value = -math.inf
-    best_u = None
-    best_feasible = False
-    failures = 0
+    best = (False, -math.inf, None)
     for r in range(cfg.restarts):
-        u = haar_special_unitary(n, derive_seed(seed, r))
-        mu = cfg.constraint_penalty_init
-        for _ in range(_PENALTY_STAGES):
-            u = _penalty_ascent(u, w, mu, cfg, pairs)
-            mu *= cfg.penalty_growth
-        t = w * diag_product(u)
-        feasible = abs(t.imag) <= cfg.tol_constraint
-        if not feasible:
-            failures += 1
+        feasible, value = bool(residuals[r] <= cfg.tol_constraint), float(t[r].real)
         details.append(
             CheckRecord(
-                input=f"restart={r} constraint={abs(t.imag):.3e} feasible={feasible}",
-                measured=t.real,
+                input=f"restart={r} constraint={residuals[r]:.3e} feasible={feasible}",
+                measured=value,
                 expected=target,
-                error=abs(t.real - target),
+                error=abs(value - target),
             )
         )
-        if (feasible, t.real) > (best_feasible, best_value):
-            best_feasible, best_value, best_u = feasible, t.real, u
+        if (feasible, value) > best[:2]:
+            best = (feasible, value, u[r])
     return VerificationReport(
         kind="constrained_max",
         n=n,
         trials=cfg.restarts,
-        failures=failures,
-        worst_margin=target - best_value,
+        failures=int(np.count_nonzero(~(residuals <= cfg.tol_constraint))),
+        worst_margin=target - best[1],
         details=_sorted_details(details),
         seed=seed,
         elapsed=time.perf_counter() - t0,
-        best_matrix=best_u,
+        best_matrix=best[2],
     )
 
 

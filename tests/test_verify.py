@@ -1,6 +1,8 @@
 """Verification-run tests at desk scale (the acceptance module runs the full
 spec-scale workloads)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from diagprod import (
     is_special_unitary,
     monte_carlo_containment,
     preimage,
+    haar_special_unitary,
     recognize_extremal,
     so_interval,
     verify_preimage,
@@ -199,6 +202,163 @@ class TestConstrainedMax:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             constrained_max_numeric(3, 0.5, config=OptimizerConfig(restarts=0))
+
+
+_COUNT_FIELDS = ("restarts", "max_iterations")
+_FLOAT_FIELDS = (
+    "step_init",
+    "constraint_penalty_init",
+    "penalty_growth",
+    "tol_value",
+    "tol_constraint",
+)
+_INVALID = st.sampled_from((0, -1, 0.0, -0.5, -math.inf, math.nan, math.inf, True, None, "1"))
+
+
+class TestOptimizerConfigDomain:
+    # regression: when only "> 0" was checked, step_init=inf never returned,
+    # an infinite penalty raised LinAlgError and restarts=2.5 a TypeError
+    # deep in the loop
+    @given(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(_COUNT_FIELDS),
+                st.one_of(_INVALID, st.sampled_from((2.5, 3.0, 1e300))),
+            ),
+            st.tuples(st.sampled_from(_FLOAT_FIELDS), _INVALID),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_invalid_config_raises_at_once(self, case):
+        name, value = case
+        cfg = OptimizerConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            cfg.validate()
+        with pytest.raises(ValueError, match=name):
+            constrained_max_numeric(3, 0.5, config=cfg)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.floats(1e-3, 10.0),
+        st.floats(1e-2, 1e4),
+        st.floats(0.5, 100.0),
+        st.floats(1e-15, 1e-3),
+        st.floats(1e-12, 1e-2),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_valid_config_runs(self, restarts, iterations, step, penalty, growth, tol_v, tol_c, s):
+        cfg = OptimizerConfig(restarts, iterations, step, penalty, growth, tol_v, tol_c)
+        rep = constrained_max_numeric(3, 0.5, config=cfg, seed=s)
+        assert rep.trials == restarts and len(rep.details) == restarts
+        assert np.isfinite(rep.worst_margin)
+        assert is_special_unitary(rep.best_matrix, 1e-10)
+
+
+_FD_STEP = 1e-6
+_COS_H = math.cos(_FD_STEP)
+_SIN_H = math.sin(_FD_STEP)
+
+
+def _penalized(w: complex, p: complex, mu: float) -> float:
+    t = w * p
+    return t.real - mu * t.imag * t.imag
+
+
+def fd_gradient(u, w, mu, pairs):
+    """Reference: central finite differences of the penalized objective along
+    the rotation and imaginary mixing generators of each pair; each move
+    touches two rows, so only two diagonal entries change."""
+    d = np.diagonal(u)
+    grad = np.empty(2 * len(pairs))
+    for idx, (j, k) in enumerate(pairs):
+        mask = np.ones(len(d), bool)
+        mask[j] = False
+        mask[k] = False
+        rest = complex(np.prod(d[mask]))
+        ujj, ukk = complex(u[j, j]), complex(u[k, k])
+        ujk, ukj = complex(u[j, k]), complex(u[k, j])
+        # rotation generator
+        p_plus = rest * (_COS_H * ujj - _SIN_H * ukj) * (_SIN_H * ujk + _COS_H * ukk)
+        p_minus = rest * (_COS_H * ujj + _SIN_H * ukj) * (-_SIN_H * ujk + _COS_H * ukk)
+        grad[2 * idx] = (_penalized(w, p_plus, mu) - _penalized(w, p_minus, mu)) / (
+            2.0 * _FD_STEP
+        )
+        # imaginary mixing generator
+        p_plus = rest * (_COS_H * ujj + 1j * _SIN_H * ukj) * (
+            1j * _SIN_H * ujk + _COS_H * ukk
+        )
+        p_minus = rest * (_COS_H * ujj - 1j * _SIN_H * ukj) * (
+            -1j * _SIN_H * ujk + _COS_H * ukk
+        )
+        grad[2 * idx + 1] = (_penalized(w, p_plus, mu) - _penalized(w, p_minus, mu)) / (
+            2.0 * _FD_STEP
+        )
+    return grad
+
+
+class TestExactGradient:
+    @given(
+        st.integers(3, 8),
+        st.integers(0, 2**32),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.0, 3.0).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_central_differences(self, n, seed, theta, mu):
+        u = haar_special_unitary(n, seed)
+        w = complex(np.exp(-1j * theta))
+        t = w * diag_product(u)
+        a, gnorm = verify_module._tangent(u[None], w * (1.0 + 2j * mu * t.imag))
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        exact = np.array([g for j, k in pairs for g in (-a[0, j, k].real, a[0, j, k].imag)])
+        fd = fd_gradient(u, w, mu, pairs)
+        tol = 1e-6 * (1.0 + np.linalg.norm(fd))
+        assert np.abs(exact - fd).max() <= tol
+        assert abs(gnorm[0] - np.linalg.norm(exact)) <= 1e-12 * (1.0 + gnorm[0])
+        assert np.abs(a[0] + a[0].conj().T).max() == 0.0
+        assert np.abs(np.diagonal(a[0])).max() == 0.0
+
+
+class TestConstrainedMaxDomain:
+    # regression: the penalty ascent's own value overshoots the maximum by up
+    # to 2e-5 here; the reported value comes from a matrix on the ray
+    @given(
+        st.sampled_from((3, 4)),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(-3.0, -1.0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_near_cusp_value_on_the_ray(self, n, sign, magnitude, seed):
+        theta = sign * magnitude
+        rep = constrained_max_numeric(n, theta, seed=seed)
+        target = abs(gamma(n, alpha_of_theta(n, theta)))
+        best = target - rep.worst_margin
+        assert best <= target + 1e-10
+        assert abs(best - target) <= 1e-4
+        on_ray = (np.exp(-1j * theta) * diag_product(rep.best_matrix)).real
+        assert abs(best - on_ray) <= 1e-12
+        assert is_special_unitary(rep.best_matrix, 1e-10)
+
+    @given(st.integers(3, 5), st.floats(-np.pi, np.pi), st.integers(0, 2**32), st.integers(1, 7))
+    @settings(max_examples=20, deadline=None)
+    def test_restarts_do_not_depend_on_each_other(self, n, theta, seed, k):
+        def records(restarts):
+            rep = constrained_max_numeric(n, theta, OptimizerConfig(restarts=restarts), seed)
+            by_restart = {}
+            for rec in rep.details:
+                restart, _, feasible = rec.input.split()
+                by_restart[restart] = (feasible, rec.measured, rec.error)
+            return by_restart
+
+        few, all_ = records(k), records(8)
+        assert len(few) == k
+        for restart, (feasible, measured, error) in few.items():
+            assert all_[restart][0] == feasible
+            assert abs(all_[restart][1] - measured) <= 1e-12
+            assert abs(all_[restart][2] - error) <= 1e-12
 
 
 class TestProposition1:
