@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import alpha_of_theta, wrap_angle, _ipow, _radius_from_alpha
-from .matrices import diag_product, is_special_unitary, _MASK64
+from .boundary import alpha_of_theta, wrap_angle, _ipow
+from .matrices import diag_product, is_special_unitary, _check_tol, _MASK64
 
 __all__ = [
     "ExtremalDecomposition",
@@ -239,38 +239,19 @@ def decompose_su2(z, w) -> ExtremalDecomposition:
     return ExtremalDecomposition(float(wrap_angle(a1 + a2)), v, np.array([a1, a2]))
 
 
-def _dominant_unit_vector(p: np.ndarray, tol: float) -> np.ndarray | None:
-    """Leading eigenvector of a near-rank-one projector by power iteration,
-    started from the largest-diagonal column."""
-    j = int(np.argmax(np.real(np.diagonal(p))))
-    x = np.array(p[:, j], np.complex128)
-    nrm = np.linalg.norm(x)
-    if nrm < 1e-12:
-        return None
-    x /= nrm
-    for _ in range(100):
-        y = p @ x
-        nrm = np.linalg.norm(y)
-        if nrm < 1e-12:
-            return None
-        y /= nrm
-        done = np.linalg.norm(y - x) < min(tol, 1e-12)
-        x = y
-        if done:
-            break
-    return x
-
-
 def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
     """Recover the extremal decomposition of a special unitary matrix whose
     diagonal product lies on the boundary; None for interior products.
 
-    The reflection angle is seeded by the polar angle of the diagonal product
-    and sharpened from its modulus (which is far better conditioned near the
-    cusp at 1).  The rank-one projector is reconstructed by stripping the
-    diagonal phases and checked for Hermiticity, idempotence, unit trace and
-    flat diagonal before the vector is extracted; any structural failure
-    returns None.
+    For n >= 3 the data are read off in closed form.  Dividing each column
+    by its diagonal entry gives r_jk = u_jk / u_kk = -n s v_j conj(v_k) off
+    the diagonal, with s = (1 - e^{-i alpha}) / (n - 1 + e^{-i alpha}), so
+    s = -r_12 r_20 / r_10 (every |v_j|^2 = 1/n), e^{-i alpha} =
+    (1 - (n-1) s) / (1 + s), and v_j is proportional to -r_j0 / s.  A matrix
+    whose off-diagonal part is within ``tol`` is the degenerate case
+    alpha = 0.  The result is accepted only when it rebuilds ``u`` within
+    ``tol`` in the max-entry norm.  For n = 2 the diagonal entries vanish at
+    the half-turn, so the closed-form SU(2) split is used instead.
     """
     u = np.asarray(u, np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -278,14 +259,13 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
     n = u.shape[0]
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not float(tol) > 0.0:
-        raise ValueError("tolerance must be positive")
+    tol = _check_tol(tol)
     if not is_special_unitary(u, tol):
         raise ValueError("matrix is not special unitary within tolerance")
-    z = diag_product(u)
 
     if n == 2:
         # the SU(2) image [0, 1] is entirely boundary
+        z = diag_product(u)
         if abs(z.imag) > tol or not (-tol <= z.real <= 1.0 + tol):
             return None
         if abs(z - 1.0) <= tol:
@@ -298,43 +278,33 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
         lead = d.v[np.flatnonzero(np.abs(d.v) > 1e-12)[0]]
         v = d.v * (lead.conjugate() / abs(lead))
         return ExtremalDecomposition(d.alpha, v, d.diag_phases)
-    else:
-        alpha = alpha_of_theta(n, math.atan2(z.imag, z.real))
-        if abs(abs(z) - float(_radius_from_alpha(n, alpha))) > tol:
-            return None
-        if abs(z - 1.0) <= tol:
-            return _degenerate_decomposition(u, n)
-        # sharpen |alpha| from the product modulus: the angle map is cubically
-        # flat at 0, the modulus only quadratically, so this is the
-        # well-conditioned route near the cusp
-        q = (z.real**2 + z.imag**2) ** (1.0 / n)
-        s = min(max(n**2 * (1.0 - q) / (4.0 * (n - 1.0)), 0.0), 1.0)
-        alpha = math.copysign(2.0 * math.asin(math.sqrt(s)), alpha)
 
-    shrink = 1.0 - np.exp(-1j * alpha)
-    psi = np.angle(1.0 - shrink / n)
-    phases = np.angle(np.diagonal(u)) - psi
-    m = u * np.exp(-1j * phases)[None, :]
-    p = (np.eye(n) - m) / shrink
-    flat = 1.0 / n
-    if np.abs(p - p.conj().T).max() > tol:
+    if np.abs(u - np.diag(np.diagonal(u))).max() <= tol:
+        d = _degenerate_decomposition(u, n)
+    else:
+        d = _closed_form_decomposition(u, n)
+    if d is None or not np.abs(build_extremal(d) - u).max() <= tol:
         return None
-    if abs(np.trace(p) - 1.0) > tol:
+    return d
+
+
+def _closed_form_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition | None:
+    """Extremal data read off three off-diagonal ratios and the first column
+    of ``u`` (n >= 3); None when s or v is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = u / np.diagonal(u)[None, :]
+        s = -r[1, 2] * r[2, 0] / r[1, 0]
+        e = (1.0 - (n - 1.0) * s) / (1.0 + s)
+        x = -r[:, 0] / s
+        x[0] = 1.0
+        v = x / np.abs(x) / math.sqrt(n)
+    if not (np.isfinite(e) and np.isfinite(v).all()):
         return None
-    if np.abs(p @ p - p).max() > tol:
-        return None
-    if np.abs(np.real(np.diagonal(p)) - flat).max() > tol:
-        return None
-    x = _dominant_unit_vector(p, tol)
-    if x is None:
-        return None
-    nz = np.flatnonzero(np.abs(x) > 1e-12)
-    if len(nz) == 0 or np.abs(np.abs(x) - math.sqrt(flat)).max() > tol:
-        return None
-    lead = x[nz[0]]
-    x = x * (lead.conjugate() / abs(lead))
-    v = x / np.abs(x) * math.sqrt(flat)
-    phases = _wrap_each(phases)
+    alpha = -math.atan2(e.imag, e.real)
+    if alpha == -math.pi:
+        alpha = math.pi  # the half-turn is reported as +pi
+    psi = np.angle(1.0 - (1.0 - np.exp(-1j * alpha)) / n)
+    phases = _wrap_each(np.angle(np.diagonal(u)) - psi)
     phases[0] += float(wrap_angle(alpha - phases.sum()))
     return ExtremalDecomposition(alpha, v, phases)
 

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import gamma, _check_finite, _radius_many
+from .matrices import _check_tol
 
 __all__ = [
     "Membership",
@@ -51,13 +52,6 @@ class MembershipVerdict:
 
     status: Membership
     signed_margin: float
-
-
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    return tol
 
 
 def _verdict(codes: np.ndarray, margins: np.ndarray) -> MembershipVerdict:
@@ -157,6 +151,7 @@ def _polyline_boxes(n: int, samples: int) -> np.ndarray:
     return boxes
 
 
+@np.errstate(over="ignore")
 def _winding_codes_many(
     n: int, zs: np.ndarray, samples: int = 8192, tol: float = 1e-9, block: int = 512
 ):
@@ -239,7 +234,9 @@ def _winding_codes_many(
         dx += dy
         dist2 = np.full(len(z), np.inf)
         np.minimum.at(dist2, row, dx)
-        dist = np.sqrt(dist2)
+        # the polyline lies in the unit disk, so a point this far out is |z|
+        # from it to rounding (from about 1e154 on, dist2 overflows)
+        dist = np.where(dist2 >= 1e300, np.abs(z), np.sqrt(dist2))
         on_edge = dist <= tol
         inside = (winding != 0) & ~on_edge
         codes[start : start + block] = np.where(on_edge, 0, np.where(inside, 1, -1))

@@ -29,6 +29,7 @@ from .matrices import (
     derive_seed,
     diag_product,
     is_special_unitary,
+    _check_tol,
     _haar_special_orthogonal_batch,
     _haar_special_unitary_batch,
     _haar_unitary_batch,
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+_DRAW_BLOCK = 256  # (x, y) pairs per rejection-sampling draw
 
 
 @dataclass(frozen=True)
@@ -327,8 +329,7 @@ def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    if not float(tol) > 0.0:
-        raise ValueError("tolerance must be positive")
+    tol = _check_tol(tol)
     z = complex(z)
     verdict = su_region_contains(n, z, max(tol, 1e-12))
     if verdict.status is Membership.OUTSIDE:
@@ -356,17 +357,20 @@ def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
 
 
 def _interior_points(n: int, count: int, seed: int, tol: float = 1e-9) -> list[complex]:
-    """Rejection-sample strictly interior targets from the unit disk."""
+    """Rejection-sample strictly interior targets from the unit disk.
+
+    Draws come in blocks of ``_DRAW_BLOCK`` (x, y) pairs, the same stream as
+    one pair per draw, and each block is classified by the polar core, whose
+    entries equal the scalar oracle; so the points do not depend on the block.
+    """
     rng = np.random.default_rng(derive_seed(seed, 0x1A7E5107))
     points: list[complex] = []
     while len(points) < count:
-        x, y = rng.uniform(-1.0, 1.0, 2)
-        z = complex(x, y)
-        if abs(z) > 1.0:
-            continue
-        if su_region_contains(n, z, tol).status is Membership.INSIDE:
-            points.append(z)
-    return points
+        zs = rng.uniform(-1.0, 1.0, (_DRAW_BLOCK, 2)).view(np.complex128)[:, 0]
+        zs = zs[np.abs(zs) <= 1.0]
+        codes, _ = _classify_su_many(n, zs, tol)
+        points.extend(complex(z) for z in zs[codes == 1])
+    return points[:count]
 
 
 def verify_preimage(

@@ -284,11 +284,11 @@ class TestRecognizeExtremal:
                 assert not rec.violations()
 
     def test_hard_small_angle(self):
-        for n in (3, 6):
-            d = random_extremal(n, seed=5, alpha=1e-3)
+        for n, alpha in ((3, 1e-3), (6, 1e-3), (5, 1e-4), (5, 1e-5)):
+            d = random_extremal(n, seed=5, alpha=alpha)
             rec = recognize_extremal(build_extremal(d), 1e-9)
             assert rec is not None
-            assert abs(rec.alpha - 1e-3) <= 1e-9
+            assert abs(rec.alpha - alpha) <= 1e-9
 
     def test_identity_gives_degenerate_data(self):
         rec = recognize_extremal(np.eye(5), 1e-9)
@@ -330,7 +330,7 @@ class TestRecognizeExtremal:
         with pytest.raises(ValueError):
             recognize_extremal(np.eye(1), 1e-9)
 
-    def test_inverts_theta_once(self, monkeypatch):
+    def test_never_inverts_theta(self, monkeypatch):
         calls = []
         invert = boundary_module._invert_theta
 
@@ -340,10 +340,41 @@ class TestRecognizeExtremal:
 
         monkeypatch.setattr(boundary_module, "_invert_theta", counting)
         for n, alpha in ((3, 1.2), (5, -0.4), (6, 0.0)):
-            calls.clear()
             rec = recognize_extremal(build_extremal(random_extremal(n, seed=3, alpha=alpha)))
             assert rec is not None
-            assert calls == [n]
-        calls.clear()
         assert recognize_extremal(haar_special_unitary(4, 1)) is None
-        assert calls == [4]
+        assert calls == []
+
+    def test_half_turn(self):
+        # reported as +pi, also when built from -pi
+        for n, alpha in ((4, np.pi), (4, -np.pi), (3, np.pi - 1e-7), (30, np.pi - 1e-7)):
+            d = random_extremal(n, seed=1, alpha=alpha)
+            rec = recognize_extremal(build_extremal(d), 1e-9)
+            assert rec is not None
+            assert rec.alpha == abs(alpha)
+
+    @given(
+        st.integers(3, 30),
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.floats(-12.0, np.log10(np.pi)).map(lambda e: 10.0**e),
+            st.floats(0.0, 1e-6).map(lambda h: np.pi - h),
+            st.floats(0.0, 1e-15).map(lambda h: np.pi - h),
+        ),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_over_whole_domain(self, n, seed, magnitude, sign):
+        tol = 1e-9
+        d = random_extremal(n, seed=seed, alpha=sign * min(magnitude, np.pi))
+        u = build_extremal(d)
+        rec = recognize_extremal(u, tol)
+        assert rec is not None
+        assert np.abs(build_extremal(rec) - u).max() <= tol
+        off = np.abs(u - np.diag(np.diagonal(u))).max()
+        if off <= tol:
+            assert rec.alpha == 0.0
+        else:
+            assert abs(wrap_angle(rec.alpha - d.alpha)) <= 1e-9
+            got = np.outer(rec.v, rec.v.conj())
+            assert np.abs(got - np.outer(d.v, d.v.conj())).max() <= 1e-9

@@ -270,6 +270,18 @@ class TestSingleCodePath:
         assert v.signed_margin == margins[0]
 
 
+class TestHugePoints:
+    @given(st.integers(3, 8), st.floats(154.0, 300.0), st.floats(-math.pi, math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_winding_margin_is_the_polar_margin(self, n, power, phi):
+        z = 10.0**power * complex(math.cos(phi), math.sin(phi))
+        w = su_region_contains_winding(n, z, 1024)
+        p = su_region_contains(n, z)
+        assert w.status is Membership.OUTSIDE
+        assert math.isfinite(w.signed_margin)
+        assert w.signed_margin == p.signed_margin
+
+
 class TestNonFiniteInput:
     @given(bad_points)
     @settings(max_examples=50, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import diagprod.verify as verify_module
 from diagprod import (
+    Membership,
     OptimizerConfig,
     PreimageConvergenceError,
     alpha_of_theta,
@@ -22,6 +23,7 @@ from diagprod import (
     haar_special_unitary,
     recognize_extremal,
     so_interval,
+    su_region_contains,
     verify_preimage,
     verify_unit_disk,
     verify_so_interval,
@@ -111,6 +113,26 @@ class TestPreimage:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             preimage(2, 0.5)
+
+
+def interior_points_one_by_one(n, count, seed, tol=1e-9):
+    """Reference rejection sampler: one (x, y) draw and one scalar oracle
+    call per candidate."""
+    rng = np.random.default_rng(verify_module.derive_seed(seed, 0x1A7E5107))
+    points = []
+    while len(points) < count:
+        x, y = rng.uniform(-1.0, 1.0, 2)
+        z = complex(x, y)
+        if abs(z) <= 1.0 and su_region_contains(n, z, tol).status is Membership.INSIDE:
+            points.append(z)
+    return points
+
+
+class TestInteriorPoints:
+    @pytest.mark.parametrize("n, count, seed", [(3, 1, 0), (3, 20, 5), (4, 30, 1), (8, 45, 2)])
+    def test_blocks_pick_the_scalar_points(self, n, count, seed):
+        got = verify_module._interior_points(n, count, seed)
+        assert got == interior_points_one_by_one(n, count, seed)
 
 
 def _assert_solves(n, z):
