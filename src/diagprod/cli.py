@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,21 +60,23 @@ def _fmt(x: float) -> str:
 @dataclass
 class OutputRecord:
     """Tabular command output: versioned schema, echoed parameters, named
-    columns and numeric rows."""
+    columns and the table as one 2-D float64 array, one row per output line
+    and one column per name in ``columns``."""
 
     schema_version: str
     command: str
     parameters: dict
     columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
+    rows: np.ndarray
 
     def to_csv(self) -> str:
         lines = [f"# schema_version={self.schema_version}", f"# command={self.command}"]
         for key in sorted(self.parameters):
             lines.append(f"# {key}={self.parameters[key]}")
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_fmt(x) for x in row))
+        # '%.17g' % x formats exactly as format(x, '.17g')
+        row_fmt = ",".join(["%.17g"] * len(self.columns))
+        lines.extend(row_fmt % tuple(r) for r in self.rows.tolist())
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -83,7 +85,7 @@ class OutputRecord:
             "command": self.command,
             "parameters": self.parameters,
             "columns": self.columns,
-            "rows": [[float(x) for x in row] for row in self.rows],
+            "rows": self.rows.tolist(),
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -110,21 +112,14 @@ def _cmd_boundary(args) -> int:
     # (gamma(-pi) = gamma(pi)), so the omitted right endpoint repeats no data
     # and even sample counts pass through alpha = 0
     alphas = np.linspace(-np.pi, np.pi, samples, endpoint=False)
-    values = np.atleast_1d(gamma(n, alphas))
-    if n >= 3:
-        thetas = np.atleast_1d(theta_of_alpha(n, alphas))
-    else:
-        thetas = np.angle(values)
-    radii = np.abs(values)
+    values = gamma(n, alphas)
+    thetas = theta_of_alpha(n, alphas) if n >= 3 else np.angle(values)
     record = OutputRecord(
         SCHEMA_VERSION,
         "boundary",
         {"n": n, "samples": samples, "seed": args.seed},
         ["alpha", "re", "im", "theta", "r"],
-        [
-            (alphas[i], values[i].real, values[i].imag, thetas[i], radii[i])
-            for i in range(samples)
-        ],
+        np.column_stack([alphas, values.real, values.imag, thetas, np.abs(values)]),
     )
     return _emit(record.render(args.format), args.out)
 
@@ -133,13 +128,10 @@ def _cmd_gamma_image(args) -> int:
     n = args.n
     alphas = np.linspace(0.0, np.pi, args.alpha_samples)
     ys = np.linspace(1.0, n - 1.0, args.y_samples)
-    rows = []
-    for a in alphas:
-        zs = np.atleast_1d(big_gamma(n, a, ys))
-        jac = np.atleast_1d(jacobian_big_gamma(n, np.full_like(ys, a), ys))
-        rows.extend(
-            (a, ys[j], zs[j].real, zs[j].imag, jac[j]) for j in range(len(ys))
-        )
+    aa, yy = np.meshgrid(alphas, ys, indexing="ij")
+    zs = big_gamma(n, aa, yy)
+    jac = jacobian_big_gamma(n, aa, yy)
+    rows = np.stack([aa, yy, zs.real, zs.imag, jac], -1).reshape(-1, 5)
     record = OutputRecord(
         SCHEMA_VERSION,
         "gamma-image",
@@ -169,15 +161,8 @@ def _cmd_membership(args) -> int:
 
 def _matrix_record(command: str, u: np.ndarray, params: dict) -> OutputRecord:
     n = u.shape[0]
-    columns = []
-    for j in range(1, n + 1):
-        columns += [f"c{j}_re", f"c{j}_im"]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row += [u[i, j].real, u[i, j].imag]
-        rows.append(tuple(row))
+    columns = [f"c{j}_{part}" for j in range(1, n + 1) for part in ("re", "im")]
+    rows = np.stack([u.real, u.imag], -1).reshape(n, 2 * n)
     return OutputRecord(SCHEMA_VERSION, command, params, columns, rows)
 
 

@@ -202,17 +202,25 @@ def build_u_z(n: int, z) -> np.ndarray:
     if n < 2:
         raise ValueError("n must be at least 2")
     z = complex(z)
-    mod = abs(z)
-    if mod > 1.0 + 1e-12:
+    if abs(z) > 1.0 + 1e-12:
         raise ValueError("|z| must not exceed 1")
-    c = math.sqrt(min(mod, 1.0))
-    s = math.sqrt(max(1.0 - mod, 0.0))
-    phase = z / mod if mod > 0.0 else 1.0
-    u = np.eye(n, dtype=np.complex128)
-    u[0, 0] = c * phase
-    u[0, 1] = -s
-    u[1, 0] = s * phase
-    u[1, 1] = c
+    return _build_u_z_many(n, np.array([z]))[0]
+
+
+def _build_u_z_many(n: int, zs: np.ndarray) -> np.ndarray:
+    """:func:`build_u_z` for each point of a 1-D complex128 array with |z| <= 1,
+    stacked.  np.hypot and the split division give Python's abs(z) and
+    z / abs(z) bit for bit, where np.abs and complex division do not."""
+    mod = np.hypot(zs.real, zs.imag)
+    c = np.sqrt(np.minimum(mod, 1.0))
+    s = np.sqrt(np.maximum(1.0 - mod, 0.0))
+    unit = np.where(mod > 0.0, mod, 1.0)
+    phase = np.where(mod > 0.0, zs.real / unit, 1.0) + 1j * (zs.imag / unit)
+    u = np.tile(np.eye(n, dtype=np.complex128), (len(zs), 1, 1))
+    u[:, 0, 0] = c * phase
+    u[:, 0, 1] = -s
+    u[:, 1, 0] = s * phase
+    u[:, 1, 1] = c
     return u
 
 

@@ -106,7 +106,10 @@ def u_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
         raise ValueError("n must be at least 2")
     _check_tol(tol)
     z = _check_finite("z", complex(z))
-    margin = 1.0 - abs(z)
+    try:
+        margin = 1.0 - abs(z)
+    except OverflowError:  # |z| exceeds the largest float
+        margin = -np.inf
     if margin > tol:
         status = Membership.INSIDE
     elif margin < -tol:

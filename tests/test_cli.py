@@ -5,10 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import diagprod.verify as verify_module
-from diagprod import gamma, is_special_unitary
-from diagprod.cli import main
+from diagprod import big_gamma, gamma, is_special_unitary, jacobian_big_gamma
+from diagprod.cli import OutputRecord, main
 
 
 def read_csv(path):
@@ -23,6 +26,39 @@ def read_csv(path):
         else:
             rows.append([float(x) for x in line.split(",")])
     return meta, columns, np.array(rows)
+
+
+def per_cell_table(rows):
+    """CSV table lines formatted one cell at a time (reference only)."""
+    return [",".join(format(float(x), ".17g") for x in row) for row in rows]
+
+
+cells = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.79e308, -1.79e308]),
+)
+
+
+class TestOutputRecord:
+    tables = hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7), elements=cells
+    )
+
+    @given(tables)
+    @settings(max_examples=200, deadline=None)
+    def test_writers_match_the_per_cell_writer(self, table):
+        columns = [f"c{j}" for j in range(table.shape[1])]
+        record = OutputRecord("1", "t", {"b": 2, "a": "x"}, columns, table)
+        header = ["# schema_version=1", "# command=t", "# a=x", "# b=2", ",".join(columns)]
+        assert record.to_csv() == "\n".join(header + per_cell_table(table)) + "\n"
+        payload = {
+            "schema_version": "1",
+            "command": "t",
+            "parameters": {"b": 2, "a": "x"},
+            "columns": columns,
+            "rows": [[float(x) for x in row] for row in table],
+        }
+        assert record.to_json() == json.dumps(payload, indent=2) + "\n"
 
 
 class TestBoundaryCommand:
@@ -111,6 +147,21 @@ class TestGammaImageCommand:
         corner = rows[(rows[:, 0] == rows[:, 0].max()) & (rows[:, 1] == 1.0)]
         assert corner[0, 2] == pytest.approx(-((1 - 2 / 12) ** 12), abs=1e-12)
         assert corner[0, 3] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_table_matches_the_per_alpha_loop(self, tmp_path, n):
+        out = tmp_path / "g.csv"
+        main(
+            ["gamma-image", "--n", str(n), "--alpha-samples", "33", "--y-samples", "17", "--out", str(out)]
+        )
+        ys = np.linspace(1.0, n - 1.0, 17)
+        rows = []
+        for a in np.linspace(0.0, np.pi, 33):
+            zs = big_gamma(n, a, ys)
+            jac = jacobian_big_gamma(n, np.full_like(ys, a), ys)
+            rows.extend((a, ys[j], zs[j].real, zs[j].imag, jac[j]) for j in range(len(ys)))
+        lines = out.read_text().splitlines()
+        assert lines[lines.index("alpha,y,re,im,jacobian") + 1 :] == per_cell_table(rows)
 
     def test_underscore_alias(self, tmp_path):
         out = tmp_path / "g.csv"

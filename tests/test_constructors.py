@@ -1,12 +1,14 @@
 """Construction and recognition tests for the extremal matrix families."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagprod.boundary as boundary_module
-from diagprod.constructors import _homotopy_matrix, _homotopy_product
+from diagprod.constructors import _build_u_z_many, _homotopy_matrix, _homotopy_product
 
 from diagprod import (
     ExtremalDecomposition,
@@ -221,6 +223,46 @@ class TestBuildUZ:
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError):
             build_u_z(3, 1.0 + 1e-6)
+
+
+def build_u_z_scalar(n, z):
+    """The per-point construction the array core replaces (reference only)."""
+    z = complex(z)
+    mod = abs(z)
+    c = math.sqrt(min(mod, 1.0))
+    s = math.sqrt(max(1.0 - mod, 0.0))
+    phase = z / mod if mod > 0.0 else 1.0
+    u = np.eye(n, dtype=np.complex128)
+    u[0, 0] = c * phase
+    u[0, 1] = -s
+    u[1, 0] = s * phase
+    u[1, 1] = c
+    return u
+
+
+disk_points = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -1j]),
+    st.builds(
+        lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+        st.floats(0.0, 1.0),
+        st.floats(-math.pi, math.pi),
+    ),
+    st.builds(lambda phi: complex(math.cos(phi), math.sin(phi)), st.floats(-math.pi, math.pi)),
+    st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+)
+
+
+class TestBuildUZMany:
+    @given(st.integers(2, 8), st.lists(disk_points, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_equal_the_scalar_construction(self, n, zs):
+        # exact equality: np.abs(complex) or a reciprocal multiply in place
+        # of abs(z) and z / abs(z) moves last bits (zeros may differ in sign)
+        got = _build_u_z_many(n, np.array(zs))
+        assert got.shape == (len(zs), n, n)
+        for u, z in zip(got, zs):
+            np.testing.assert_array_equal(u, build_u_z_scalar(n, z))
+            np.testing.assert_array_equal(build_u_z(n, z), u)
 
 
 class TestDecomposeSU2:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagprod import (
@@ -318,6 +318,19 @@ class TestUnitDisk:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             u_region_contains(1, 0.5)
+
+    huge = st.builds(
+        lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), st.floats(1e154, 1.79e308)
+    )
+
+    @given(st.integers(2, 8), huge, huge)
+    @example(3, 1.5e308, 1.5e308)
+    @settings(max_examples=60, deadline=None)
+    def test_huge_finite_points_are_outside(self, n, x, y):
+        # a modulus past the largest float overflows abs(); it reads as -inf
+        v = u_region_contains(n, complex(x, y))
+        assert v.status is Membership.OUTSIDE
+        assert v.signed_margin < 0.0
 
 
 class TestSOInterval:

@@ -14,6 +14,7 @@ from diagprod import (
     OptimizerConfig,
     PreimageConvergenceError,
     alpha_of_theta,
+    build_u_z,
     constrained_max_numeric,
     diag_product,
     gamma,
@@ -28,6 +29,7 @@ from diagprod import (
     verify_unit_disk,
     verify_so_interval,
 )
+from diagprod.constructors import _build_u_z_many
 
 
 class TestMonteCarloContainment:
@@ -390,8 +392,6 @@ class TestProposition1:
         assert rep.worst_margin > 0
 
     def test_unit_circle_targets_build_diagonally(self):
-        from diagprod import build_u_z
-
         # exactly representable unit-modulus targets give exactly diagonal
         # output; generic e^{i phi} floats sit one ulp inside the circle, so
         # sqrt(1 - |z|) leaves an off-diagonal no larger than ~1e-8
@@ -405,6 +405,42 @@ class TestProposition1:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_unit_disk(1, 10)
+
+    @pytest.mark.parametrize("grid", [2, 5, 41])
+    @pytest.mark.parametrize("shift", [0.0, 1e-9])
+    def test_grid_records_match_the_point_loop(self, monkeypatch, grid, shift):
+        # reference: one build and one product per grid point, as the check
+        # ran before it was batched; a shifted corner entry makes every
+        # point a failure record
+        def shifted(u):
+            u = u.copy()
+            u[..., 0, 0] += shift
+            return u
+
+        monkeypatch.setattr(
+            verify_module, "_build_u_z_many", lambda n, zs: shifted(_build_u_z_many(n, zs))
+        )
+        n = 3
+        want, worst = [], 0.0
+        axis = np.linspace(-1.0, 1.0, grid)
+        for x in axis:
+            for y in axis:
+                z = complex(x, y)
+                if abs(z) > 1.0:
+                    continue
+                err = abs(diag_product(shifted(build_u_z(n, z))) - z)
+                worst = max(worst, err)
+                if err > 1e-12:
+                    want.append((f"disk grid z={z!r}", err, 0.0, err - 1e-12))
+        want.append(("max |product - z| over disk grid", worst, 0.0, max(0.0, worst - 1e-12)))
+        rep = verify_unit_disk(n, 50, seed=4, grid=grid)
+        got = [
+            (r.input, r.measured, r.expected, r.error)
+            for r in rep.details
+            if r.input.startswith(("disk grid", "max |product - z|"))
+        ]
+        assert sorted(got) == sorted(want)
+        assert rep.failures == len(want) - 1
 
 
 class TestSOInterval:
