@@ -80,6 +80,7 @@ class OutputRecord:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        # json.dumps(payload, indent=2), but the C encoder (indent=None) writes the cells
         payload = {
             "schema_version": self.schema_version,
             "command": self.command,
@@ -87,7 +88,12 @@ class OutputRecord:
             "columns": self.columns,
             "rows": self.rows.tolist(),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        if not self.rows.size:
+            return json.dumps(payload, indent=2) + "\n"
+        cells = json.dumps(payload.pop("rows"), separators=(",\n      ", ": "))[2:-2]
+        rows = cells.replace("],\n      [", "\n    ],\n    [\n      ")
+        head = json.dumps(payload, indent=2)[:-2]
+        return f'{head},\n  "rows": [\n    [\n      {rows}\n    ]\n  ]\n}}\n'
 
     def render(self, fmt: str) -> str:
         return self.to_csv() if fmt == "csv" else self.to_json()

@@ -114,7 +114,7 @@ def diag_product(m) -> complex:
 
 def is_unitary(m, tol: float = 1e-10) -> bool:
     """True iff the max-entry norm of  m†m - I  is at most ``tol``."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     a = _square(m).astype(np.complex128, copy=False)
     gram = a.conj().T @ a
     gram[np.diag_indices_from(gram)] -= 1.0
@@ -123,7 +123,7 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
 
 def is_special_unitary(m, tol: float = 1e-10) -> bool:
     """Unitary with determinant 1 within ``tol`` (LU-based determinant)."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     a = _square(m).astype(np.complex128, copy=False)
     if not is_unitary(a, tol):
         return False
@@ -132,7 +132,7 @@ def is_special_unitary(m, tol: float = 1e-10) -> bool:
 
 def is_special_orthogonal(m, tol: float = 1e-10) -> bool:
     """Real (all imaginary parts within ``tol``) and special unitary."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     a = _square(m)
     if np.abs(np.asarray(a).imag).max() > tol:
         return False
@@ -171,7 +171,7 @@ def exp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
     the result is unitary up to roundoff.  Rejects input whose max-entry
     deviation from skew-Hermiticity exceeds ``tol``.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     m = _square(a).astype(np.complex128, copy=False)
     if np.abs(m + m.conj().T).max() > tol:
         raise ValueError("matrix is not skew-Hermitian within tolerance")

@@ -104,19 +104,13 @@ def u_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
     disk for every n >= 2."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_tol(tol)
+    tol = _check_tol(tol)
     z = _check_finite("z", complex(z))
     try:
         margin = 1.0 - abs(z)
     except OverflowError:  # |z| exceeds the largest float
         margin = -np.inf
-    if margin > tol:
-        status = Membership.INSIDE
-    elif margin < -tol:
-        status = Membership.OUTSIDE
-    else:
-        status = Membership.ON_BOUNDARY
-    return MembershipVerdict(status, margin)
+    return MembershipVerdict(_STATUS[(margin > tol) - (margin < -tol)], margin)
 
 
 def so_interval(n: int) -> tuple[float, float]:

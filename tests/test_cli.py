@@ -263,14 +263,14 @@ class TestPreimageCommand:
         assert rc == 2
 
     def test_unconverged_solve_names_stages(self, monkeypatch, capsys):
-        newton = verify_module._newton
+        descend = verify_module._descend
         monkeypatch.setattr(
-            verify_module, "_newton", lambda n, z, a, q: newton(n, z, a, q, max_iter=0)
+            verify_module, "_descend", lambda n, z, a, q: descend(n, z, a, q, max_iter=0)
         )
         rc = main(["preimage", "--n", "4", "--re", "0.2", "--im", "0.1"])
         assert rc == 4
         err = capsys.readouterr().err
-        for stage in ("cusp seed", "boundary seed", "grid"):
+        for stage in ("cusp seed", "boundary seed", "origin seed"):
             assert stage in err
 
 

@@ -19,6 +19,8 @@ from diagprod import (
     is_special_orthogonal,
     is_special_unitary,
     is_unitary,
+    su_region_contains,
+    u_region_contains,
 )
 from diagprod.matrices import (
     _haar_special_orthogonal_batch,
@@ -113,6 +115,30 @@ class TestPredicates:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tol: is_unitary(np.eye(3), tol),
+            lambda tol: is_special_unitary(np.eye(3), tol),
+            lambda tol: is_special_orthogonal(np.eye(3), tol),
+            lambda tol: exp_skew_hermitian(np.zeros((3, 3)), tol),
+            lambda tol: u_region_contains(3, 0.5, tol),
+            lambda tol: su_region_contains(3, 0.5, tol),
+        ],
+        ids=[
+            "is_unitary",
+            "is_special_unitary",
+            "is_special_orthogonal",
+            "exp_skew_hermitian",
+            "u_region_contains",
+            "su_region_contains",
+        ],
+    )
+    def test_tolerance_is_used_as_validated(self, call):
+        # regression: these validated tol, dropped the float and compared
+        # against the raw argument, so a numeric string raised TypeError
+        np.testing.assert_equal(call("1e-9"), call(1e-9))
 
 
 class TestGenerators:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diagprod.boundary as boundary_module
 import diagprod.verify as verify_module
 from diagprod import (
     Membership,
@@ -168,18 +169,130 @@ class TestPreimageDomain:
             _assert_solves(n, 0.0)
 
 
+_SIZES = st.one_of(st.integers(3, 30), st.sampled_from((40, 60, 100, 150, 200)))
+_SIGN = st.sampled_from((-1.0, 1.0))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _gridless_targets(draw, n):
+    """Targets that the three closed-form seeds must cover with no grid: the
+    band below the boundary, the half-turn, the SO interval, the origin and
+    small near-real points."""
+    kind = draw(st.sampled_from(("band", "half-turn", "so", "origin", "small")))
+    if kind == "band":
+        depth = draw(_log_uniform(-7.0, -1.0))
+        return (1.0 - depth) * gamma(n, draw(_SIGN) * draw(_LOG_ALPHA))
+    if kind == "half-turn":
+        depth = draw(_log_uniform(-7.0, -1.0))
+        return (1.0 - depth) * gamma(n, draw(_SIGN) * (np.pi - draw(_log_uniform(-12.0, -1.0))))
+    if kind == "so":
+        lo, hi = so_interval(n)
+        return complex(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), 0.0)
+    if kind == "origin":
+        return 0j
+    size = draw(_log_uniform(-12.0, -2.0))
+    return complex(draw(_SIGN) * size, size * draw(st.floats(-1e-3, 1e-3)))
+
+
+class TestPreimageCore:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_gridless_domain(self, data):
+        n = data.draw(_SIZES)
+        z = data.draw(_gridless_targets(n))
+        u = preimage(n, z, tol=1e-9)
+        assert abs(diag_product(u) - z) <= 1e-10, (n, z)
+        assert is_special_unitary(u, 1e-10), (n, z)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_entry_equals_the_target_alone(self, data):
+        n = data.draw(_SIZES)
+        outside = st.builds(lambda a, s: (1.0 + s) * gamma(n, a), st.floats(-3.0, 3.0),
+                            _log_uniform(-12.0, -1.0))
+        zs = data.draw(st.lists(st.one_of(_gridless_targets(n), outside), min_size=1, max_size=6))
+        slot = data.draw(st.integers(0, len(zs) - 1))
+        batch = verify_module._preimage_many(n, np.array(zs), 1e-9)
+        alone = verify_module._preimage_many(n, np.array([zs[slot]]), 1e-9)
+        for got, want in zip(batch, alone):
+            assert got[slot] == want[0]
+
+    @given(
+        _SIZES,
+        st.floats(-np.pi, np.pi),
+        st.tuples(_SIGN, _log_uniform(-12.0, -1.0)).map(lambda p: p[0] * p[1]),
+        st.sampled_from((1e-8, 1e-9)),
+    )
+    @example(3, 0.0, 0.0, 1e-9)
+    @settings(max_examples=200, deadline=None)
+    def test_value_error_exactly_outside(self, n, alpha, scale, tol):
+        z = (1.0 + scale) * gamma(n, alpha)
+        outside = su_region_contains(n, z, tol).status is Membership.OUTSIDE
+        try:
+            preimage(n, z, tol)
+            raised = False
+        except ValueError:
+            raised = True
+        except PreimageConvergenceError:
+            raised = False
+        assert raised == outside, (n, z)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0.0)):
+            with pytest.raises(ValueError):
+                preimage(4, bad)
+
+    def test_tiny_phase_targets(self):
+        # regression: the cusp seed divided by the squared phase, which
+        # underflows to 0 (ZeroDivisionError) or leaves a non-finite cubic
+        for z in (0.5 + 1e-170j, 0.9 - 1e-160j, -0.001 + 1e-200j):
+            u = preimage(4, z, tol=1e-9)
+            assert abs(diag_product(u) - z) <= 1e-10, z
+            assert is_special_unitary(u, 1e-10), z
+
+    def test_huge_target_is_outside(self):
+        # regression: the seeds of a target whose modulus overflows were
+        # built too, and overflowed with a RuntimeWarning
+        for z in (1.5e308 + 1.5e308j, -1e308):
+            with pytest.raises(ValueError, match="outside"):
+                preimage(4, z)
+
+    def test_one_theta_inversion_per_call(self, monkeypatch):
+        # regression: the membership check and the boundary seed each
+        # inverted theta at the polar angle of the target
+        calls = []
+        invert = boundary_module._invert_theta
+
+        def counting(n, targets):
+            calls.append(n)
+            return invert(n, targets)
+
+        monkeypatch.setattr(boundary_module, "_invert_theta", counting)
+        monkeypatch.setattr(verify_module, "_invert_theta", counting)
+        targets = [(3, 0.1 + 0.02j), (4, 0.2 + 0.1j), (5, 0.0), (4, 0.999 + 1e-7j), (6, gamma(6, 2.0))]
+        for n, z in targets:
+            preimage(n, z)
+        with pytest.raises(ValueError):
+            preimage(3, 2.0)
+        assert len(calls) == len(targets) + 1
+
+
 class TestPreimageStages:
     def test_error_names_each_stage(self, monkeypatch):
-        newton = verify_module._newton
+        descend = verify_module._descend
         monkeypatch.setattr(
-            verify_module, "_newton", lambda n, z, a, q: newton(n, z, a, q, max_iter=0)
+            verify_module, "_descend", lambda n, z, a, q: descend(n, z, a, q, max_iter=0)
         )
         with pytest.raises(PreimageConvergenceError) as info:
             preimage(4, 0.2 + 0.1j)
         err = info.value
         names = [name for name, _ in err.stages]
         assert sorted(names[:2]) == ["boundary seed", "cusp seed"]
-        assert names[2:] == ["grid"]
+        assert names[2:] == ["origin seed"]
         assert err.best_residual == min(res for _, res in err.stages)
         for name, res in err.stages:
             assert f"{name} {res:.3e}" in str(err)
