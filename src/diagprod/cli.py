@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import alpha_of_theta, big_gamma, gamma, jacobian_big_gamma, theta_of_alpha
+from .boundary import big_gamma, gamma, jacobian_big_gamma, radius_of_theta, theta_of_alpha
 from .constructors import build_extremal, build_u_theta, random_extremal
 from .matrices import diag_product
 from .region import Membership, su_region_contains, su_region_contains_winding
@@ -180,9 +180,7 @@ def _cmd_extremal(args, parser) -> int:
         if n < 3:
             parser.error("--theta requires n >= 3")
         u = build_u_theta(n, args.theta)
-        analytic = complex(
-            np.exp(1j * args.theta) * abs(gamma(n, alpha_of_theta(n, args.theta)))
-        )
+        analytic = complex(np.exp(1j * args.theta) * radius_of_theta(n, args.theta).r)
         mode = {"theta": _fmt(args.theta)}
     else:
         d = random_extremal(n, seed=args.seed, alpha=args.alpha)

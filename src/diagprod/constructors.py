@@ -115,7 +115,7 @@ def build_u_theta(n: int, theta) -> np.ndarray:
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    a = alpha_of_theta(n, wrap_angle(theta))
+    a = alpha_of_theta(n, theta)
     u = np.full((n, n), -(1.0 - np.exp(-1j * a)) / n, dtype=np.complex128)
     u[np.diag_indices(n)] += 1.0
     return np.exp(1j * a / n) * u

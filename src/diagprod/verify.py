@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .boundary import alpha_of_theta, gamma, wrap_angle, _check_finite, _invert_theta
+from .boundary import radius_of_theta, wrap_angle, _check_finite, _invert_theta
 from .boundary import _ipow, _radius_from_alpha
 from .constructors import omega_max, _build_u_z_many, _homotopy_matrix, _homotopy_product
 from .matrices import (
@@ -542,7 +542,7 @@ def constrained_max_numeric(
     cfg.validate()
     t0 = time.perf_counter()
     th = float(wrap_angle(theta))
-    target = float(abs(gamma(n, alpha_of_theta(n, th))))
+    target = radius_of_theta(n, th).r
     w = complex(np.exp(-1j * th))
     u = _haar_special_unitary_batch(n, seed, cfg.restarts)
     mu = cfg.constraint_penalty_init

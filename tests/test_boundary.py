@@ -1,9 +1,12 @@
 """Boundary-curve tests: the closed curve, its derivative, the polar angle
 map and inverse, the radius profile, and the two-parameter interior map."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -21,6 +24,35 @@ from diagprod import (
 )
 
 GRID = np.linspace(-np.pi, np.pi, 2001)
+
+# n from 3 to 10^6, small n drawn as often as large
+SIZES = st.one_of(st.integers(3, 12), st.integers(13, 10**6))
+SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+def theta_mp(n, alpha):
+    """theta(alpha) in mpmath, with digits to spare for the cancellation of
+    about 2 log10(1/|alpha|) digits at the cusp."""
+    a = mpmath.mpf(alpha)
+    with mpmath.workdps(40 + (int(-2 * mpmath.log10(abs(a))) if 0 < abs(a) < 1 else 0)):
+        return +(a - n * mpmath.atan(mpmath.sin(a) / (n - 1 + mpmath.cos(a))))
+
+
+def alpha_mp(n, theta):
+    """The root of theta(alpha) = theta in mpmath, by the secant method from
+    the cube seed; theta increases on the whole real line, so it is unique."""
+    t = mpmath.mpf(theta)
+    if t == 0:
+        return t
+    with mpmath.workdps(40 + (int(-mpmath.log10(abs(t))) if abs(t) < 1 else 0)):
+        k = mpmath.mpf((n - 1) * (n - 2)) / (6 * n * n)
+        x0 = mpmath.sign(t) * min(mpmath.cbrt(abs(t) / k), mpmath.pi)
+        f = lambda a: a - n * mpmath.atan(mpmath.sin(a) / (n - 1 + mpmath.cos(a))) - t
+        return +mpmath.findroot(f, (x0, x0 * (1 - mpmath.mpf(10) ** -3)))
+
+
+def rel_error(got, want):
+    return float(abs(mpmath.mpf(got) - want) / abs(want))
 
 
 def central_diff(f, x, h=1e-6):
@@ -126,8 +158,11 @@ class TestAlphaOfTheta:
         assert abs(theta_of_alpha(4, a) - 0.5) <= 1e-10
 
     def test_odd(self):
-        for t in (0.3, 1.1, 2.9):
-            assert abs(alpha_of_theta(6, t) + alpha_of_theta(6, -t)) <= 1e-12
+        # exact: both maps work on the magnitude and copy the sign
+        for n in (3, 6, 40):
+            for t in (1e-300, 1e-12, 0.3, 1.1, 2.9, np.pi):
+                assert alpha_of_theta(n, -t) == -alpha_of_theta(n, t)
+                assert theta_of_alpha(n, -t) == -theta_of_alpha(n, t)
 
     @given(st.integers(3, 12), st.floats(-np.pi, np.pi))
     @settings(max_examples=80, deadline=None)
@@ -135,11 +170,12 @@ class TestAlphaOfTheta:
         a = alpha_of_theta(n, theta)
         assert abs(theta_of_alpha(n, a) - theta) <= 1e-10
 
-    def test_inverse_round_trip_away_from_cusp(self):
-        for n in (3, 6, 12):
-            alphas = GRID[np.abs(GRID) >= 1e-3]
-            back = np.array([alpha_of_theta(n, t) for t in theta_of_alpha(n, alphas[::50])])
-            assert np.abs(back - alphas[::50]).max() <= 1e-8
+    def test_inverse_round_trip_down_to_the_cusp(self):
+        mags = np.concatenate([np.logspace(-10, 0, 41), GRID[GRID >= 1.0][::50]])
+        alphas = np.concatenate([-mags, mags])
+        for n in (3, 6, 12, 1000):
+            back = np.array([alpha_of_theta(n, t) for t in theta_of_alpha(n, alphas)])
+            assert np.max(np.abs(back - alphas) / np.abs(alphas)) <= 1e-13
 
     def test_array_matches_scalar(self):
         thetas = np.linspace(-np.pi, np.pi, 101)
@@ -172,6 +208,23 @@ class TestAlphaOfTheta:
             boundary._invert_theta(n, np.array([0.7]))
         assert len(calls) == 0
 
+    def test_tiny_and_subnormal_targets(self):
+        # regression: cbrt(theta) of an iterate whose theta underflows is
+        # noise, and at theta = 0 the Newton quotient is 0/0 (a RuntimeWarning)
+        tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-40, 1e-30, 2e-30])
+        for n in (3, 5, 10**6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = alpha_of_theta(n, np.append(tiny, 0.0))
+            assert got[-1] == 0.0
+            assert max(rel_error(g, alpha_mp(n, t)) for g, t in zip(got, tiny)) <= 1e-13
+
+    def test_half_turn_seed_does_not_stall(self):
+        # regression: a cube seed lies beyond pi here (n = 5, theta = -2.5), and
+        # Newton from it stalled at -pi
+        for n, t in ((5, -2.5), (5, 2.5), (3, -3.0), (4, np.pi - 1e-12)):
+            assert rel_error(alpha_of_theta(n, t), alpha_mp(n, t)) <= 1e-13
+
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
             for call in (
@@ -181,6 +234,39 @@ class TestAlphaOfTheta:
             ):
                 with pytest.raises(ValueError, match=f"theta must be finite, got {bad!r}"):
                     call()
+
+
+class TestAgainstMpmath:
+    """Both maps to a relative error of 1e-13 against 40-digit mpmath over
+    n = 3 .. 10^6, from |theta| = 1e-20 up to the half-turn."""
+
+    def test_theta_near_cusp_spot(self):
+        # regression: alpha - n arctan(...) cancelled to a relative error of
+        # 3.5e5 here
+        assert rel_error(theta_of_alpha(3, 1e-8), theta_mp(3, 1e-8)) <= 1e-13
+
+    @given(SIZES, SIGNS, st.one_of(
+        st.floats(-7.0, np.log10(np.pi)).map(lambda e: 10.0**e),
+        st.floats(-15.0, 0.0).map(lambda e: np.pi - 10.0**e),
+    ))
+    @example(10**6, 1.0, 1e-7)
+    @example(3, -1.0, np.pi)
+    @settings(max_examples=150, deadline=None)
+    def test_theta_of_alpha_property(self, n, sign, mag):
+        alpha = sign * mag
+        assert rel_error(theta_of_alpha(n, alpha), theta_mp(n, alpha)) <= 1e-13
+
+    @given(SIZES, SIGNS, st.one_of(
+        st.floats(-20.0, np.log10(np.pi)).map(lambda e: 10.0**e),
+        st.floats(-15.5, 0.0).map(lambda e: np.pi - 10.0**e),
+    ))
+    @example(10**6, 1.0, 1e-20)
+    @example(3, -1.0, np.pi)
+    @example(5, -1.0, 2.5)
+    @settings(max_examples=150, deadline=None)
+    def test_alpha_of_theta_property(self, n, sign, mag):
+        theta = sign * mag
+        assert rel_error(alpha_of_theta(n, theta), alpha_mp(n, theta)) <= 1e-13
 
 
 class TestRadius:
