@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -206,9 +207,6 @@ def _cmd_preimage(args) -> int:
     z = complex(args.re, args.im)
     try:
         u = preimage(args.n, z, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PreimageConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -338,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_common(args, parser) -> None:
+    if "tol" in args and not 0.0 < args.tol < math.inf:
+        parser.error("--tol must be finite and positive")
     if args.command == "boundary":
         if args.n < 1:
             parser.error("--n must be at least 1")

@@ -64,7 +64,7 @@ class ExtremalDecomposition:
 
     def violations(self, tol: float = 1e-10) -> list[str]:
         """Human-readable list of violated constraints (empty when valid)."""
-        problems = []
+        tol, problems = _check_tol(tol), []
         n = self.n
         if n < 1:
             problems.append("v must have at least one component")

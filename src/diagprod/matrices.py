@@ -102,14 +102,19 @@ def _square(m) -> np.ndarray:
 
 def _check_tol(tol: float) -> float:
     tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     return tol
+
+
+def _diag_products(mats: np.ndarray) -> np.ndarray:
+    """Product of the diagonal entries of each matrix of a stack."""
+    return np.multiply.reduce(mats.diagonal(0, -2, -1), axis=-1)
 
 
 def diag_product(m) -> complex:
     """Product of the diagonal entries of a square matrix."""
-    return complex(np.prod(np.diagonal(_square(m))))
+    return complex(_diag_products(_square(m)))
 
 
 def is_unitary(m, tol: float = 1e-10) -> bool:

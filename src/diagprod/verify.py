@@ -7,9 +7,10 @@ unit-disk (unitary) and real-interval (special orthogonal) images.
 
 All runs are deterministic functions of their seed: per-trial and per-restart
 Haar samples come from counter-based streams keyed by ``derive_seed`` (a
-SplitMix64 mixer), and aggregation is order-independent (counts, extremal
-margins, sorted detail records), so reports do not depend on ``_CHUNK``.
-Non-finite products count as failures.
+SplitMix64 mixer), drawn ``_CHUNK`` at a time by one sampling loop, and every
+report is built by one tally whose aggregates are order-independent (counts,
+the smallest margin, sorted detail records), so reports do not depend on
+``_CHUNK``.  Non-finite products count as failures.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .matrices import (
     diag_product,
     is_special_unitary,
     _check_tol,
+    _diag_products,
     _haar_special_orthogonal_batch,
     _haar_special_unitary_batch,
     _haar_unitary_batch,
@@ -152,12 +154,46 @@ class PreimageConvergenceError(RuntimeError):
         self.stages = tuple(stages)
 
 
-def _sorted_details(records: list[CheckRecord]) -> list[CheckRecord]:
-    return sorted(records, key=lambda r: (-r.error, r.input))
+class _Tally:
+    """The report under construction: failure count, smallest margin and
+    detail records, and the clock, started with the run."""
+
+    def __init__(self):
+        self.t0, self.failures, self.worst, self.details = time.perf_counter(), 0, math.inf, []
+
+    def add(self, record: CheckRecord, failed=False, margin: float = math.inf) -> None:
+        """Add one record, counted as a failure if ``failed``, and lower the
+        smallest margin to ``margin``."""
+        self.details.append(record)
+        self.failures += bool(failed)
+        self.worst = min(self.worst, float(margin))
+
+    def fail_each(self, bad, label, measured, expected, error, margin: float = math.inf) -> None:
+        """A failure at each index i where ``bad`` holds, with the record
+        (``label(i)``, ``measured[i]``, ``expected``, ``error[i]``)."""
+        for i in np.flatnonzero(bad):
+            self.add(CheckRecord(label(i), float(measured[i]), expected, float(error[i])), True)
+        self.worst = min(self.worst, float(margin))
+
+    def report(self, kind: str, n: int, trials: int, seed: int, best_matrix=None):
+        """The report, its records by decreasing error, then input."""
+        details = sorted(self.details, key=lambda r: (-r.error, r.input))
+        elapsed = time.perf_counter() - self.t0
+        return VerificationReport(
+            kind, n, trials, self.failures, self.worst, details, seed, elapsed, best_matrix
+        )
 
 
-def _diag_products(mats: np.ndarray) -> np.ndarray:
-    return np.multiply.reduce(mats.diagonal(0, -2, -1), axis=-1)
+def _over_samples(sampler, n: int, seed: int, trials: int, *per_chunk):
+    """The diagonal products of ``trials`` samples of ``sampler``, sample i
+    from stream i, and the values of each function of ``per_chunk`` on them,
+    drawn at most ``_CHUNK`` samples at a time."""
+    parts = [[] for _ in range(1 + len(per_chunk))]
+    for start in range(0, trials, _CHUNK):
+        mats = sampler(n, seed, min(_CHUNK, trials - start), start)
+        for part, f in zip(parts, (_diag_products, *per_chunk)):
+            part.append(f(mats))
+    return [np.concatenate(part) for part in parts]
 
 
 def monte_carlo_containment(
@@ -167,42 +203,16 @@ def monte_carlo_containment(
     region; Outside verdicts count as failures."""
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
-    t0 = time.perf_counter()
-    zs = np.empty(trials, np.complex128)
-    for start in range(0, trials, _CHUNK):
-        cnt = min(_CHUNK, trials - start)
-        mats = _haar_special_unitary_batch(n, seed, cnt, start)
-        zs[start : start + cnt] = _diag_products(mats)
+    tol = _check_tol(tol)
+    tally = _Tally()
+    (zs,) = _over_samples(_haar_special_unitary_batch, n, seed, trials)
     codes, margins = _classify_su_many(n, zs, tol)
-    fail_idx = np.flatnonzero(codes == -1)
-    details = [
-        CheckRecord(
-            input=f"trial={i} z={complex(zs[i])!r}",
-            measured=float(margins[i]),
-            expected=-tol,
-            error=float(-tol - margins[i]),
-        )
-        for i in fail_idx
-    ]
-    worst = int(np.argmin(margins))
-    details.append(
-        CheckRecord(
-            input=f"worst trial={worst} z={complex(zs[worst])!r}",
-            measured=float(margins[worst]),
-            expected=-tol,
-            error=max(0.0, float(-tol - margins[worst])),
-        )
-    )
-    return VerificationReport(
-        kind="monte_carlo",
-        n=n,
-        trials=trials,
-        failures=len(fail_idx),
-        worst_margin=float(margins.min()),
-        details=_sorted_details(details),
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-    )
+    errors = -tol - margins
+    tally.fail_each(codes == -1, lambda i: f"trial={i} z={complex(zs[i])!r}", margins, -tol, errors)
+    i = int(np.argmin(margins))
+    label, error = f"worst trial={i} z={complex(zs[i])!r}", max(0.0, float(errors[i]))
+    tally.add(CheckRecord(label, float(margins[i]), -tol, error), False, margins.min())
+    return tally.report("monte_carlo", n, trials, seed)
 
 
 def _cusp_seeds(n: int, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,33 +403,19 @@ def verify_preimage(
     if n < 3 or trials < 1:
         raise ValueError("need n >= 3 and trials >= 1")
     tol = _check_tol(tol)
-    t0 = time.perf_counter()
+    tally = _Tally()
     points = _interior_points(n, trials, seed)
-    alpha, q, best, _, _ = _preimage_many(n, np.array(points, np.complex128), tol)
-    details, failures, worst = [], 0, math.inf
-    for i, z in enumerate(points):
-        residual, ok = float(best[i]), False
-        if residual <= tol:
-            u = _homotopy_matrix(n, alpha[i], q[i])
-            residual = abs(diag_product(u) - z)
-            ok = residual <= tol and is_special_unitary(u, 1e-10)
-        worst = min(worst, tol - residual)
-        if not ok:
-            failures += 1
-            details.append(CheckRecord(f"point={i} z={z!r}", residual, tol, residual - tol))
-    details.append(
-        CheckRecord(f"worst residual over {trials} points", tol - worst, tol, max(0.0, -worst))
-    )
-    return VerificationReport(
-        kind="preimage",
-        n=n,
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        details=_sorted_details(details),
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-    )
+    alpha, q, residuals, _, _ = _preimage_many(n, np.array(points, np.complex128), tol)
+    ok = np.zeros(trials, bool)
+    for i in np.flatnonzero(residuals <= tol):
+        u = _homotopy_matrix(n, alpha[i], q[i])
+        residuals[i] = abs(diag_product(u) - points[i])
+        ok[i] = residuals[i] <= tol and is_special_unitary(u, 1e-10)
+    worst = float((tol - residuals).min())
+    tally.fail_each(~ok, lambda i: f"point={i} z={points[i]!r}", residuals, tol, residuals - tol)
+    label = f"worst residual over {trials} points"
+    tally.add(CheckRecord(label, tol - worst, tol, max(0.0, -worst)), False, worst)
+    return tally.report("preimage", n, trials, seed)
 
 
 _PENALTY_STAGES = 7  # initial penalty plus six escalations
@@ -540,7 +536,7 @@ def constrained_max_numeric(
         raise ValueError("n must be at least 3")
     cfg = config or OptimizerConfig()
     cfg.validate()
-    t0 = time.perf_counter()
+    tally = _Tally()
     th = float(wrap_angle(theta))
     target = radius_of_theta(n, th).r
     w = complex(np.exp(-1j * th))
@@ -551,31 +547,22 @@ def constrained_max_numeric(
         mu *= cfg.penalty_growth
     residuals = np.abs((w * _diag_products(u)).imag)
     u, t = _onto_ray(u, w, cfg.tol_constraint)
-    details = []
     best = (False, -math.inf, None)
     for r in range(cfg.restarts):
         feasible, value = bool(residuals[r] <= cfg.tol_constraint), float(t[r].real)
-        details.append(
-            CheckRecord(
-                input=f"restart={r} constraint={residuals[r]:.3e} feasible={feasible}",
-                measured=value,
-                expected=target,
-                error=abs(value - target),
-            )
-        )
+        label = f"restart={r} constraint={residuals[r]:.3e} feasible={feasible}"
+        tally.add(CheckRecord(label, value, target, abs(value - target)), not feasible)
         if (feasible, value) > best[:2]:
             best = (feasible, value, u[r])
-    return VerificationReport(
-        kind="constrained_max",
-        n=n,
-        trials=cfg.restarts,
-        failures=int(np.count_nonzero(~(residuals <= cfg.tol_constraint))),
-        worst_margin=target - best[1],
-        details=_sorted_details(details),
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-        best_matrix=best[2],
-    )
+    tally.worst = target - best[1]  # at the best feasible value, not a minimum
+    return tally.report("constrained_max", n, cfg.restarts, seed, best[2])
+
+
+def _off_diagonal_max(mats: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal modulus of each matrix of a stack."""
+    off, idx = np.abs(mats), np.arange(mats.shape[-1])
+    off[:, idx, idx] = 0.0
+    return off.max(axis=(1, 2))
 
 
 def verify_unit_disk(
@@ -587,60 +574,26 @@ def verify_unit_disk(
     strictly below 1."""
     if n < 2 or trials < 1 or grid < 2:
         raise ValueError("need n >= 2, trials >= 1, grid >= 2")
-    t0 = time.perf_counter()
-    details = []
-    failures = 0
-    worst = math.inf
-
-    mods = np.empty(trials)
-    offmax = np.empty(trials)
-    for start in range(0, trials, _CHUNK):
-        cnt = min(_CHUNK, trials - start)
-        mats = _haar_unitary_batch(n, seed, cnt, start)
-        mods[start : start + cnt] = np.abs(_diag_products(mats))
-        off = np.abs(mats)
-        off[:, np.arange(n), np.arange(n)] = 0.0
-        offmax[start : start + cnt] = off.max(axis=(1, 2))
-
+    tally = _Tally()
+    zs, offmax = _over_samples(_haar_unitary_batch, n, seed, trials, _off_diagonal_max)
+    mods = np.abs(zs)
     # a non-finite modulus is recorded as inf, so it fails the bound
     mods[~np.isfinite(mods)] = np.inf
     margin_a = (1.0 + 1e-12) - mods
-    bad_a = np.flatnonzero(margin_a < 0.0)
-    failures += len(bad_a)
-    for i in bad_a:
-        details.append(
-            CheckRecord(
-                input=f"haar trial={i} |product|",
-                measured=float(mods[i]),
-                expected=1.0,
-                error=float(mods[i] - 1.0),
-            )
-        )
-    worst = min(worst, float(margin_a.min()))
-    details.append(
-        CheckRecord(
-            input=f"max |product| over {trials} Haar samples",
-            measured=float(mods.max()),
-            expected=1.0,
-            error=max(0.0, float(mods.max() - 1.0 - 1e-12)),
-        )
-    )
+    tally.fail_each(margin_a < 0.0, lambda i: f"haar trial={i} |product|", mods, 1.0, mods - 1.0)
+    top = float(mods.max())
+    label = f"max |product| over {trials} Haar samples"
+    tally.add(CheckRecord(label, top, 1.0, max(0.0, top - 1.0 - 1e-12)), False, margin_a.min())
 
-    masked = offmax > 1e-3
-    margin_c = np.where(masked, (1.0 - 1e-9) - mods, math.inf)
-    bad_c = np.flatnonzero(margin_c < 0.0)
-    failures += len(bad_c)
-    for i in bad_c:
-        details.append(
-            CheckRecord(
-                input=f"haar trial={i} off-diagonal {offmax[i]:.3e} but near-unit product",
-                measured=float(mods[i]),
-                expected=1.0 - 1e-9,
-                error=float(mods[i] - (1.0 - 1e-9)),
-            )
-        )
-    if masked.any():
-        worst = min(worst, float(margin_c[masked].min()))
+    margin_c = np.where(offmax > 1e-3, (1.0 - 1e-9) - mods, math.inf)
+    tally.fail_each(
+        margin_c < 0.0,
+        lambda i: f"haar trial={i} off-diagonal {offmax[i]:.3e} but near-unit product",
+        mods,
+        1.0 - 1e-9,
+        mods - (1.0 - 1e-9),
+        margin_c.min(),
+    )
 
     axis = np.linspace(-1.0, 1.0, grid)
     zs = (axis[:, None] + 1j * axis[None, :]).ravel()
@@ -649,38 +602,13 @@ def verify_unit_disk(
     parts = np.array_split(zs, len(zs) // _CHUNK + 1)
     miss = np.concatenate([_diag_products(_build_u_z_many(n, p)) for p in parts]) - zs
     errs = np.hypot(miss.real, miss.imag)
-    worst_build = float(errs.max(initial=0.0))
-    bad_build = np.flatnonzero(errs > 1e-12)
-    failures += len(bad_build)
-    for i in bad_build:
-        details.append(
-            CheckRecord(
-                input=f"disk grid z={complex(zs[i])!r}",
-                measured=float(errs[i]),
-                expected=0.0,
-                error=float(errs[i] - 1e-12),
-            )
-        )
-    worst = min(worst, 1e-12 - worst_build)
-    details.append(
-        CheckRecord(
-            input="max |product - z| over disk grid",
-            measured=worst_build,
-            expected=0.0,
-            error=max(0.0, worst_build - 1e-12),
-        )
+    tally.fail_each(
+        errs > 1e-12, lambda i: f"disk grid z={complex(zs[i])!r}", errs, 0.0, errs - 1e-12
     )
-
-    return VerificationReport(
-        kind="unit_disk",
-        n=n,
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        details=_sorted_details(details),
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-    )
+    top = float(errs.max(initial=0.0))
+    label = "max |product - z| over disk grid"
+    tally.add(CheckRecord(label, top, 0.0, max(0.0, top - 1e-12)), False, 1e-12 - top)
+    return tally.report("unit_disk", n, trials, seed)
 
 
 def verify_so_interval(
@@ -692,68 +620,49 @@ def verify_so_interval(
     endpoints."""
     if n < 2 or sweep < 2 or trials < 1:
         raise ValueError("need n >= 2, sweep >= 2, trials >= 1")
-    t0 = time.perf_counter()
+    tally = _Tally()
     lo, hi = so_interval(n)
-    width = hi - lo
-    details = []
-    failures = 0
-    worst = math.inf
 
     omegas = np.linspace(0.0, omega_max(n), sweep)
     c2 = np.cos(omegas) ** 2
     s2 = np.sin(omegas) ** 2
     vals = -(1.0 - 2.0 * c2) * (1.0 - 2.0 * s2 / (n - 1.0)) ** (n - 1)
     gap = float(np.diff(np.sort(vals)).max())
-    gap_bound = 2.0 * width / sweep
-    if gap >= gap_bound:
-        failures += 1
-    details.append(
-        CheckRecord(
-            input=f"sweep coverage, {sweep} steps",
-            measured=gap,
-            expected=gap_bound,
-            error=max(0.0, gap - gap_bound),
-        )
+    # the sweep v falls monotonically from 1 to lo, so by the mean-value
+    # theorem no gap exceeds the step in omega times the largest |dv/domega|,
+    # dv/domega = -4 sin(2 omega) (1 - q n/(n-1)) (1 - 2q/(n-1))^(n-2) with
+    # q = sin^2 omega; taken on 10001 angles, raised by 1e-3 for what they miss
+    w = np.linspace(0.0, omega_max(n), 10001)
+    q = np.sin(w) ** 2
+    slope = np.abs(4.0 * np.sin(2.0 * w) * (1.0 - q * n / (n - 1.0)))
+    slope *= (1.0 - 2.0 * q / (n - 1.0)) ** (n - 2)
+    gap_bound = (1.0 + 1e-3) * (omegas[1] - omegas[0]) * float(slope.max())
+    tally.add(
+        CheckRecord(f"sweep coverage, {sweep} steps", gap, gap_bound, max(0.0, gap - gap_bound)),
+        gap >= gap_bound,
+        gap_bound - gap,
     )
-    worst = min(worst, gap_bound - gap)
     for name, got, want in (
         ("sweep upper endpoint", float(vals.max()), hi),
         ("sweep lower endpoint", float(vals.min()), lo),
     ):
         err = abs(got - want)
-        if err > 1e-9:
-            failures += 1
-        details.append(CheckRecord(input=name, measured=got, expected=want, error=err))
+        tally.add(CheckRecord(name, got, want, err), err > 1e-9)
 
-    pds = np.empty(trials)
-    for start in range(0, trials, _CHUNK):
-        cnt = min(_CHUNK, trials - start)
-        mats = _haar_special_orthogonal_batch(n, seed, cnt, start)
-        pds[start : start + cnt] = np.real(_diag_products(mats))
+    (pds,) = _over_samples(_haar_special_orthogonal_batch, n, seed, trials)
+    pds = np.real(pds)
     # a non-finite product is recorded as inf, so it lies outside the interval
     pds[~np.isfinite(pds)] = np.inf
-    inside = (pds >= lo - 1e-9) & (pds <= hi + 1e-9)
-    bad = np.flatnonzero(~inside)
-    failures += len(bad)
-    for i in bad:
-        details.append(
-            CheckRecord(
-                input=f"haar trial={i} product outside interval",
-                measured=float(pds[i]),
-                expected=lo,
-                error=float(max(lo - pds[i], pds[i] - hi)),
-            )
-        )
-    sample_margin = float(np.minimum(pds - lo, hi - pds).min())
-    worst = min(worst, sample_margin + 1e-9)
-    details.append(
-        CheckRecord(
-            input=f"min interval margin over {trials} Haar samples",
-            measured=sample_margin,
-            expected=0.0,
-            error=max(0.0, -(sample_margin + 1e-9)),
-        )
+    tally.fail_each(
+        ~((pds >= lo - 1e-9) & (pds <= hi + 1e-9)),
+        lambda i: f"haar trial={i} product outside interval",
+        pds,
+        lo,
+        np.maximum(lo - pds, pds - hi),
     )
+    least = float(np.minimum(pds - lo, hi - pds).min())
+    label = f"min interval margin over {trials} Haar samples"
+    tally.add(CheckRecord(label, least, 0.0, max(0.0, -(least + 1e-9))), False, least + 1e-9)
 
     signs = np.ones(n)
     signs[0] = signs[1] = -1.0
@@ -769,18 +678,5 @@ def verify_so_interval(
         ("reflection times odd signs", lower, lo),
     ):
         err = abs(got - want)
-        if err > 1e-12:
-            failures += 1
-        details.append(CheckRecord(input=name, measured=got, expected=want, error=err))
-        worst = min(worst, 1e-12 - err)
-
-    return VerificationReport(
-        kind="so_interval",
-        n=n,
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        details=_sorted_details(details),
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-    )
+        tally.add(CheckRecord(name, got, want, err), err > 1e-12, 1e-12 - err)
+    return tally.report("so_interval", n, trials, seed)

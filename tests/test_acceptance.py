@@ -204,7 +204,8 @@ def test_c10_so_interval():
         assert abs(diag_product(reflect) - lo) <= 1e-12
     report(
         "10 PASS special orthogonal interval: endpoints attained within 1e-12, "
-        "4x10000 Haar samples inside within 1e-9, sweep gaps below 2*width/10000"
+        "4x10000 Haar samples inside within 1e-9, sweep gaps below "
+        "(1 + 1e-3) * step * max |dv/domega|"
     )
 
 

@@ -313,11 +313,40 @@ class TestVerifyCommand:
             main(["verify", "--kind", "constrainedmax", "--n", "3"])
         assert exc.value.code == 2
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("montecarlo", ["--n", "2", "--trials", "300"]),
+            ("disk", ["--n", "3", "--trials", "50", "--grid", "5"]),
+            ("so", ["--n", "4", "--trials", "50", "--sweep", "100"]),
+            ("preimage", ["--n", "3", "--trials", "3", "--tol", "1e-8"]),
+            ("constrainedmax", ["--n", "3", "--theta", "0.7"]),
+        ],
+        ids=["montecarlo", "disk", "so", "preimage", "constrainedmax"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, kind, flags):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
-            main(["verify", "--kind", "montecarlo", "--n", "2", "--trials", "300", "--seed", "5", "--out", str(path)])
+            main(["verify", "--kind", kind, *flags, "--seed", "5", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["membership", "--n", "3", "--re", "5", "--im", "0"],
+            ["preimage", "--n", "3", "--re", "0.5", "--im", "0.3"],
+            ["verify", "--kind", "montecarlo", "--n", "3", "--trials", "20"],
+            ["verify", "--kind", "preimage", "--n", "3", "--trials", "2"],
+        ],
+        ids=["membership", "preimage", "verify-montecarlo", "verify-preimage"],
+    )
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    def test_garbage_tolerance_is_usage_error(self, argv, tol):
+        # regression: --tol nan passed the Monte-Carlo run and --tol inf a
+        # membership query for a point far outside
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}"])
+        assert exc.value.code == 2
 
     def test_unknown_kind_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagprod import (
+    build_extremal,
     build_u_z,
     derive_seed,
     diag_product,
@@ -19,8 +20,14 @@ from diagprod import (
     is_special_orthogonal,
     is_special_unitary,
     is_unitary,
+    monte_carlo_containment,
+    preimage,
+    random_extremal,
+    recognize_extremal,
     su_region_contains,
+    su_region_contains_winding,
     u_region_contains,
+    verify_preimage,
 )
 from diagprod.matrices import (
     _haar_special_orthogonal_batch,
@@ -139,6 +146,39 @@ class TestPredicates:
         # regression: these validated tol, dropped the float and compared
         # against the raw argument, so a numeric string raised TypeError
         np.testing.assert_equal(call("1e-9"), call(1e-9))
+
+
+_GARBAGE_TOL = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+_TOL_CALLS = {
+    "is_unitary": lambda tol: is_unitary(np.eye(3), tol),
+    "is_special_unitary": lambda tol: is_special_unitary(np.eye(3), tol),
+    "is_special_orthogonal": lambda tol: is_special_orthogonal(np.eye(3), tol),
+    "exp_skew_hermitian": lambda tol: exp_skew_hermitian(np.zeros((3, 3)), tol),
+    "su_region_contains": lambda tol: su_region_contains(3, 0.5, tol),
+    "su_region_contains_winding": lambda tol: su_region_contains_winding(3, 0.5, tol=tol),
+    "u_region_contains": lambda tol: u_region_contains(3, 0.5, tol),
+    "violations": lambda tol: random_extremal(3, 1).violations(tol),
+    "build_extremal": lambda tol: build_extremal(random_extremal(3, 1), tol),
+    "recognize_extremal": lambda tol: recognize_extremal(np.eye(3), tol),
+    "monte_carlo_containment": lambda tol: monte_carlo_containment(3, 20, tol=tol),
+    "preimage": lambda tol: preimage(3, 0.5 + 0.3j, tol),
+    "verify_preimage": lambda tol: verify_preimage(3, 2, tol=tol),
+}
+
+
+class TestGarbageTolerance:
+    # regression: tol = inf passed every check (is_special_unitary(7 I) was
+    # True and preimage returned a matrix 0.58 off its target), and the
+    # Monte-Carlo run took nan, 0 or -1 without a word
+    @pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+    @given(tol=_GARBAGE_TOL)
+    @settings(max_examples=15, deadline=None)
+    def test_rejected(self, name, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            _TOL_CALLS[name](tol)
 
 
 class TestGenerators:

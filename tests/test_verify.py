@@ -23,6 +23,7 @@ from diagprod import (
     monte_carlo_containment,
     preimage,
     haar_special_unitary,
+    radius_of_theta,
     recognize_extremal,
     so_interval,
     su_region_contains,
@@ -571,6 +572,27 @@ class TestSOInterval:
         m = (np.eye(3) - 2 * np.outer(u_vec, u_vec)) @ sigma
         assert diag_product(m) == pytest.approx(-1 / 27, abs=1e-12)
 
+    # regression: the bound 2 width / sweep assumed that no step of the sweep
+    # exceeds twice the mean step, which fails for every n >= 8 (n = 8 at
+    # sweep 2000: gap 2.209e-4 against 2.200e-4)
+    @given(
+        st.integers(2, 200),
+        st.sampled_from((2, 3, 10, 100, 2000, 10**4, 10**5)),
+        st.integers(0, 2**32),
+    )
+    @example(8, 2000, 5)
+    @example(20, 10**4, 5)
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_coverage_for_every_n(self, n, sweep, seed):
+        rep = verify_so_interval(n, sweep=sweep, trials=3, seed=seed)
+        (cover,) = [r for r in rep.details if r.input.startswith("sweep coverage")]
+        assert cover.measured < cover.expected and cover.error == 0.0
+        assert rep.failures == 0
+        if n <= 7 and sweep == 10**4:
+            # the mean-value bound is no looser than the old one at acceptance scale
+            lo, hi = so_interval(n)
+            assert cover.expected < 2.0 * (hi - lo) / sweep
+
     def test_deterministic(self):
         a = verify_so_interval(4, sweep=500, trials=200, seed=2)
         b = verify_so_interval(4, sweep=500, trials=200, seed=2)
@@ -663,3 +685,150 @@ class TestDetailText:
         )
         for record in run().details:
             assert "np." not in record.input
+
+
+def _records(rep):
+    return [(r.input, r.measured, r.expected, r.error) for r in rep.details]
+
+
+def _diagonal_stack(products):
+    """Sampler stand-in: trial t is diag(products.get(t, 1), 1, ..., 1)."""
+
+    def sampler(n, seed, count, start=0):
+        mats = np.broadcast_to(np.eye(n, dtype=np.complex128), (count, n, n)).copy()
+        for t, z in products.items():
+            if start <= t < start + count:
+                mats[t - start, 0, 0] = z
+        return mats
+
+    return sampler
+
+
+class TestFailureBranches:
+    """Each check forced to fail: failure count, every record's four fields,
+    their order (largest error first, then input) and the worst margin."""
+
+    @pytest.mark.parametrize("chunk", [8192, 3])
+    def test_monte_carlo_outside(self, monkeypatch, chunk):
+        monkeypatch.setattr(verify_module, "_CHUNK", chunk)
+        products = {1: 2.0 + 0j, 4: 0.2 + 0.1j, 6: -0.9 + 0j}
+        monkeypatch.setattr(
+            verify_module, "_haar_special_unitary_batch", _diagonal_stack(products)
+        )
+        tol = 1e-9
+        rep = monte_carlo_containment(3, 8, seed=0, tol=tol)
+        zs = [products.get(t, 1.0 + 0j) for t in range(8)]
+        margins = [su_region_contains(3, z, tol).signed_margin for z in zs]
+        worst = int(np.argmin(margins))
+        want = [
+            (f"trial={t} z={zs[t]!r}", margins[t], -tol, -tol - margins[t])
+            for t in products
+        ]
+        want.append(
+            (f"worst trial={worst} z={zs[worst]!r}", margins[worst], -tol,
+             max(0.0, -tol - margins[worst]))
+        )
+        assert rep.failures == 3
+        assert _records(rep) == sorted(want, key=lambda r: (-r[3], r[0]))
+        assert rep.worst_margin == min(margins)
+
+    def test_unit_disk_haar_checks(self, monkeypatch):
+        def sampler(n, seed, count, start=0):
+            mats = _diagonal_stack({2: 1.5})(n, seed, count, start)
+            if start <= 5 < start + count:
+                mats[5 - start, 0, 1] = 0.01  # off-diagonal, product still 1
+            return mats
+
+        monkeypatch.setattr(verify_module, "_haar_unitary_batch", sampler)
+        rep = verify_unit_disk(3, 7, seed=0, grid=5)
+        grid = [r for r in _records(rep) if r[0].startswith("max |product - z|")]
+        want = [
+            ("haar trial=2 |product|", 1.5, 1.0, 0.5),
+            ("max |product| over 7 Haar samples", 1.5, 1.0, max(0.0, 1.5 - 1.0 - 1e-12)),
+            ("haar trial=5 off-diagonal 1.000e-02 but near-unit product", 1.0, 1.0 - 1e-9,
+             1.0 - (1.0 - 1e-9)),
+            *grid,
+        ]
+        assert len(grid) == 1 and grid[0][3] == 0.0
+        assert rep.failures == 2
+        assert _records(rep) == sorted(want, key=lambda r: (-r[3], r[0]))
+        assert rep.worst_margin == (1.0 + 1e-12) - 1.5
+
+    def test_so_sample_outside(self, monkeypatch):
+        monkeypatch.setattr(
+            verify_module, "_haar_special_orthogonal_batch", _diagonal_stack({1: 2.0})
+        )
+        rep = verify_so_interval(3, sweep=100, trials=4, seed=0)
+        lo, hi = so_interval(3)
+        got = [r for r in _records(rep) if not r[0].startswith("sweep coverage")]
+        by_input = {r[0]: r for r in got}
+        assert by_input["haar trial=1 product outside interval"] == (
+            "haar trial=1 product outside interval", 2.0, lo, 2.0 - hi
+        )
+        margin = min(hi - 2.0, 1.0 - lo, hi - 1.0)
+        assert by_input["min interval margin over 4 Haar samples"] == (
+            "min interval margin over 4 Haar samples", margin, 0.0, -(margin + 1e-9)
+        )
+        assert len(got) == 6 and len(rep.details) == 7
+        assert rep.failures == 1
+        assert rep.details == sorted(rep.details, key=lambda r: (-r.error, r.input))
+        assert rep.worst_margin == margin + 1e-9
+
+    def test_so_endpoints(self, monkeypatch):
+        lo, hi = so_interval(3)
+        monkeypatch.setattr(verify_module, "so_interval", lambda n: (lo - 0.25, hi + 0.5))
+        rep = verify_so_interval(3, sweep=100, trials=4, seed=0)
+        by_input = {r[0]: r for r in _records(rep)}
+        for name, want in (
+            ("sweep upper endpoint", hi + 0.5),
+            ("sweep lower endpoint", lo - 0.25),
+            ("diagonal signs with even product", hi + 0.5),
+            ("reflection times odd signs", lo - 0.25),
+        ):
+            _, measured, expected, error = by_input[name]
+            assert expected == want and error == abs(measured - want)
+            assert error > 0.2
+        assert by_input["diagonal signs with even product"][1] == 1.0
+        assert by_input["reflection times odd signs"][1] == pytest.approx(lo, abs=1e-15)
+        assert rep.failures == 4
+        assert rep.details == sorted(rep.details, key=lambda r: (-r.error, r.input))
+        assert rep.worst_margin == 1e-12 - by_input["diagonal signs with even product"][3]
+
+    def test_preimage_points(self, monkeypatch):
+        descend = verify_module._descend
+        monkeypatch.setattr(
+            verify_module, "_descend", lambda n, z, a, q: descend(n, z, a, q, max_iter=0)
+        )
+        tol = 1e-8
+        rep = verify_preimage(3, 6, seed=2, tol=tol)
+        points = verify_module._interior_points(3, 6, 2)
+        best = verify_module._preimage_many(3, np.array(points), tol)[2]
+        assert (best > tol).all()
+        want = [(f"point={i} z={z!r}", best[i], tol, best[i] - tol) for i, z in enumerate(points)]
+        worst = min(tol - best)
+        want.append(("worst residual over 6 points", tol - worst, tol, -worst))
+        assert rep.failures == 6
+        assert _records(rep) == sorted(want, key=lambda r: (-r[3], r[0]))
+        assert rep.worst_margin == worst
+
+    def test_constrained_max_infeasible_restarts(self, monkeypatch):
+        # without the ascent every restart keeps its Haar sample, whose
+        # constraint residual is far above tol_constraint
+        monkeypatch.setattr(verify_module, "_penalty_ascent", lambda u, w, mu, cfg: u)
+        n, theta, seed = 3, 0.7, 4
+        rep = constrained_max_numeric(n, theta, OptimizerConfig(restarts=4), seed)
+        w = complex(np.exp(-1j * theta))
+        target = radius_of_theta(n, theta).r
+        samples = verify_module._haar_special_unitary_batch(n, seed, 4)
+        want = []
+        for r, t in enumerate((w * np.prod(np.diagonal(samples, 0, 1, 2), axis=1)).tolist()):
+            assert abs(t.imag) > 1e-6
+            want.append(
+                (f"restart={r} constraint={abs(t.imag):.3e} feasible=False", t.real, target,
+                 abs(t.real - target))
+            )
+        assert rep.failures == 4
+        assert _records(rep) == sorted(want, key=lambda r: (-r[3], r[0]))
+        best = max(range(4), key=lambda r: want[r][1])
+        assert rep.worst_margin == target - want[best][1]
+        np.testing.assert_array_equal(rep.best_matrix, samples[best])
