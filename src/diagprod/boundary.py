@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import _check_n
+
 __all__ = [
     "wrap_angle",
     "gamma",
@@ -35,17 +37,11 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
-def _check_n(n: int, minimum: int) -> int:
-    n = int(n)
-    if n < minimum:
-        raise ValueError(f"matrix size n must be at least {minimum}, got {n}")
-    return n
-
-
 def _check_finite(name: str, x):
     """Return ``x``; raise ValueError naming its first non-finite entry."""
-    bad = np.asarray(x)[~np.isfinite(x)]
-    if bad.size:
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.asarray(x)[~finite]
         raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
     return x
 
@@ -75,7 +71,7 @@ def _ipow(base, k: int):
 def gamma(n: int, alpha):
     """Boundary curve value; returns exactly 1 for n = 1."""
     n = _check_n(n, 1)
-    a = np.asarray(wrap_angle(alpha), np.float64)
+    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
     inner = 1.0 - (1.0 - np.exp(-1j * a)) / n
     out = np.exp(1j * a) * _ipow(inner, n) if n > 1 else np.ones(a.shape, np.complex128)
     return complex(out[()]) if a.ndim == 0 else out
@@ -84,25 +80,25 @@ def gamma(n: int, alpha):
 def gamma_derivative(n: int, alpha):
     """d gamma / d alpha; vanishes only at alpha = 0."""
     n = _check_n(n, 2)
-    a = np.asarray(wrap_angle(alpha), np.float64)
+    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
     shrink = 1.0 - np.exp(-1j * a)
     inner = 1.0 - shrink / n
     out = 1j * (1.0 - 1.0 / n) * shrink * np.exp(1j * a) * _ipow(inner, n - 1)
     return complex(out[()]) if a.ndim == 0 else out
 
 
-# arctan(x) - x by its odd series, x^19 .. x^3, for |x| < 0.1 where it cancels
+# S(x^2) = (arctan(x) - x) / x^3 for x >= 0, by its series x^16 .. x^0 for x < 0.1, where it cancels
 _ATAN_SERIES = tuple((-1.0) ** k / (2 * k + 1) for k in range(9, 0, -1))
 
 
-def _atan_minus_x(x: np.ndarray) -> np.ndarray:
-    xs = np.minimum(np.maximum(x, -0.1), 0.1)
-    x2 = xs * xs
+def _atan_s(x: np.ndarray) -> np.ndarray:
+    x2 = np.minimum(x * x, 0.01)
     series = np.full(x.shape, _ATAN_SERIES[0])
     for coef in _ATAN_SERIES[1:]:
         series *= x2
         series += coef
-    return np.where(np.abs(x) < 0.1, series * x2 * xs, np.arctan(x) - x)
+    big = np.maximum(x, 0.1)
+    return np.where(x < 0.1, series, (np.arctan(big) - big) / (big * big * big))
 
 
 def _theta(n: int, a: np.ndarray) -> np.ndarray:
@@ -110,9 +106,10 @@ def _theta(n: int, a: np.ndarray) -> np.ndarray:
     b = np.abs(a)
     t = np.tan(0.5 * b)
     c = (n - 2.0) / n
-    ct2 = 1.0 + c * t * t
-    g = _atan_minus_x(np.stack([t, -2.0 / n * t / ct2]))
-    near = 2.0 * c * t**3 / ct2 + n * g[1] + 2.0 * g[0]
+    t2 = t * t
+    ct2 = 1.0 + c * t2
+    s = _atan_s(np.stack([t, 2.0 / n * t / ct2]))  # S is even: |y| will do
+    near = t2 * t * (2.0 * c / ct2 + 2.0 * s[0] - 8.0 / (n * n) * s[1] / (ct2 * ct2 * ct2))
     far = b - n * np.arctan(np.sin(b) / (n - 1.0 + np.cos(b)))
     return np.copysign(np.where(b > 3.0, far, near), a)
 
@@ -131,12 +128,13 @@ def theta_of_alpha(n: int, alpha):
     For |alpha| <= 3 it is evaluated without the cancellation at the cusp
     (theta ~ alpha^3) as 2c t^3/(1 + c t^2) + n g(y) + 2 g(t), where
     t = tan(|alpha|/2), c = (n-2)/n, y = -2t/(n (1 + c t^2)) and
-    g(x) = arctan(x) - x; the sign of alpha is copied, so the map is exactly
-    odd.  Relative error against mpmath: below 5e-14 for n = 3 .. 10^6 and
-    1e-90 <= |alpha| <= pi.
+    g(x) = arctan(x) - x = x^3 S(x^2), with t^3 factored out of all three
+    terms, so that no smaller cube underflows; the sign of alpha is copied, so
+    the map is exactly odd.  Relative error against mpmath: below 5e-14 for
+    n = 3 .. 10^6 and |alpha| <= pi wherever theta is a normal float.
     """
     n = _check_n(n, 3)
-    a = np.asarray(wrap_angle(alpha), np.float64)
+    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
     out = _theta(n, a)
     return float(out[()]) if a.ndim == 0 else out
 
@@ -144,7 +142,7 @@ def theta_of_alpha(n: int, alpha):
 def theta_derivative(n: int, alpha):
     """d theta / d alpha; nonnegative, zero only at alpha = 0."""
     n = _check_n(n, 3)
-    a = np.asarray(wrap_angle(alpha), np.float64)
+    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
     out = _theta_slope(n, a)
     return float(out[()]) if a.ndim == 0 else out
 
@@ -225,10 +223,10 @@ def big_gamma(n: int, alpha, y):
     Reduces to the boundary curve at y = 1; y must lie in [1, n-1].
     """
     n = _check_n(n, 3)
-    yy = np.asarray(y, np.float64)
+    yy = np.asarray(_check_finite("y", y), np.float64)
     if np.any(yy < 1.0 - 1e-9) or np.any(yy > n - 1.0 + 1e-9):
         raise ValueError(f"second parameter must lie in [1, {n - 1}]")
-    a = np.asarray(wrap_angle(alpha), np.float64)
+    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
     out = np.exp(1j * yy * a) * _ipow(1.0 - (1.0 - np.exp(-1j * a)) * yy / n, n)
     return complex(out[()]) if out.ndim == 0 else out
 
@@ -240,8 +238,8 @@ def jacobian_big_gamma(n: int, alpha, y):
     on the open rectangle (0, pi) x (1, n-1) away from (pi, n/2).
     """
     n = _check_n(n, 3)
-    a = np.asarray(wrap_angle(alpha), np.float64)
-    yy = np.asarray(y, np.float64)
+    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    yy = np.asarray(_check_finite("y", y), np.float64)
     w = 1.0 - (1.0 - np.exp(-1j * a)) * yy / n
     mod2 = w.real**2 + w.imag**2
     angular = 4.0 * np.sin(0.5 * a) ** 2 - a * np.sin(a)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import alpha_of_theta, wrap_angle, _ipow
-from .matrices import diag_product, is_special_unitary, _check_tol, _MASK64
+from .boundary import alpha_of_theta, wrap_angle, _check_finite, _ipow
+from .matrices import diag_product, is_special_unitary, _check_n, _check_tol, _MASK64
 
 __all__ = [
     "ExtremalDecomposition",
@@ -113,8 +113,7 @@ def build_u_theta(n: int, theta) -> np.ndarray:
     Its diagonal product is e^{i theta} r(theta), i.e. the boundary point at
     that angle.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    n = _check_n(n, 3)
     a = alpha_of_theta(n, theta)
     u = np.full((n, n), -(1.0 - np.exp(-1j * a)) / n, dtype=np.complex128)
     u[np.diag_indices(n)] += 1.0
@@ -123,8 +122,7 @@ def build_u_theta(n: int, theta) -> np.ndarray:
 
 def omega_max(n: int) -> float:
     """Upper end of the homotopy mixing angle, arctan(sqrt(n-1))."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _check_n(n, 2)
     return math.atan(math.sqrt(n - 1.0))
 
 
@@ -133,13 +131,12 @@ def build_homotopy_matrix(n: int, alpha, omega: float) -> np.ndarray:
     constant diagonal product 1 (omega = 0) to the boundary curve
     (omega = arctan sqrt(n-1)).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _check_n(n, 2)
     w_hi = omega_max(n)
     omega = float(omega)
     if not (-1e-12 <= omega <= w_hi + 1e-12):
         raise ValueError(f"omega must lie in [0, arctan(sqrt(n-1))] = [0, {w_hi!r}]")
-    return _homotopy_matrix(n, alpha, math.sin(omega) ** 2)
+    return _homotopy_matrix(n, _check_finite("alpha", alpha), math.sin(omega) ** 2)
 
 
 def _homotopy_matrix(n: int, alpha, q: float) -> np.ndarray:
@@ -161,9 +158,9 @@ def homotopy_diag_product(n: int, alpha, omega):
 
         e^{i a} [1 - (1-e^{-i a}) cos^2 w] [1 - (1-e^{-i a}) sin^2 w / (n-1)]^{n-1}.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    out = _homotopy_product(n, alpha, np.sin(np.asarray(omega, np.float64)) ** 2)[0]
+    n, alpha = _check_n(n, 2), _check_finite("alpha", alpha)
+    q = np.sin(np.asarray(_check_finite("omega", omega), np.float64)) ** 2
+    out = _homotopy_product(n, alpha, q)[0]
     return complex(out[()]) if out.ndim == 0 else out
 
 
@@ -199,9 +196,8 @@ def build_u_z(n: int, z) -> np.ndarray:
     identity.  At z = 0 the phase factor collapses; a unit phase keeps the
     matrix unitary while the zero first diagonal entry still yields product 0.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    z = complex(z)
+    n = _check_n(n, 2)
+    z = _check_finite("z", complex(z))
     if abs(z) > 1.0 + 1e-12:
         raise ValueError("|z| must not exceed 1")
     return _build_u_z_many(n, np.array([z]))[0]
@@ -333,12 +329,11 @@ def _degenerate_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition:
 def random_extremal(n: int, seed: int = 0, alpha: float | None = None) -> ExtremalDecomposition:
     """Seeded random valid decomposition; ``alpha`` is drawn uniformly when
     not given."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _check_n(n, 1)
     rng = np.random.default_rng(int(seed) & _MASK64)
     if alpha is None:
         alpha = rng.uniform(-math.pi, math.pi)
-    alpha = float(wrap_angle(alpha))
+    alpha = float(wrap_angle(_check_finite("alpha", alpha)))
     v = np.exp(1j * rng.uniform(-math.pi, math.pi, n)) / math.sqrt(n)
     if n == 1:
         phases = np.array([alpha])

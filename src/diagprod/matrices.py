@@ -7,6 +7,8 @@ and seeded Haar sampling of U(n), SU(n) and SO(n).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -107,6 +109,13 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _check_n(n, minimum: int) -> int:
+    """``n`` as an int; ValueError unless it is an integer (numpy's too) >= ``minimum``."""
+    if not isinstance(n, numbers.Integral) or n < minimum:
+        raise ValueError(f"matrix size n must be an integer >= {minimum}, got {n!r}")
+    return int(n)
+
+
 def _diag_products(mats: np.ndarray) -> np.ndarray:
     """Product of the diagonal entries of each matrix of a stack."""
     return np.multiply.reduce(mats.diagonal(0, -2, -1), axis=-1)
@@ -144,16 +153,16 @@ def is_special_orthogonal(m, tol: float = 1e-10) -> bool:
     return is_special_unitary(a, tol)
 
 
-def _check_pair(n: int, j: int, k: int) -> None:
-    if n < 2:
-        raise ValueError("generators need n >= 2")
+def _check_pair(n: int, j: int, k: int) -> int:
+    n = _check_n(n, 2)
     if not (1 <= j < k <= n):
         raise ValueError(f"indices must satisfy 1 <= j < k <= n, got j={j}, k={k}, n={n}")
+    return n
 
 
 def generator_x(n: int, j: int, k: int) -> np.ndarray:
     """Real rotation generator: entry (j,k) is -1 and (k,j) is +1 (1-based)."""
-    _check_pair(n, j, k)
+    n = _check_pair(n, j, k)
     m = np.zeros((n, n), np.complex128)
     m[j - 1, k - 1] = -1.0
     m[k - 1, j - 1] = 1.0
@@ -162,7 +171,7 @@ def generator_x(n: int, j: int, k: int) -> np.ndarray:
 
 def generator_y(n: int, j: int, k: int) -> np.ndarray:
     """Imaginary mixing generator: entries (j,k) and (k,j) are both i (1-based)."""
-    _check_pair(n, j, k)
+    n = _check_pair(n, j, k)
     m = np.zeros((n, n), np.complex128)
     m[j - 1, k - 1] = 1.0j
     m[k - 1, j - 1] = 1.0j
@@ -184,11 +193,6 @@ def exp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-
 def _one_key(seed: int) -> np.ndarray:
     return np.array([int(seed) & _MASK64], np.uint64)
 
@@ -198,7 +202,7 @@ def _haar_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
     whose entries are consecutive Box-Muller pairs (QR is scale-free, so the
     entry variance does not matter), with the R-diagonal phase fix of
     Mezzadri (2007)."""
-    _check_order(n)
+    n = _check_n(n, 1)
     g = _standard_normals(keys, 2 * n * n).view(np.complex128).reshape(len(keys), n, n)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -216,7 +220,7 @@ def _haar_special_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
 def _haar_special_orthogonal_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """One Haar SO(n) sample per stream key: QR of a real Gaussian matrix with
     the R-diagonal sign fix, column 1 flipped where the determinant is -1."""
-    _check_order(n)
+    n = _check_n(n, 1)
     g = _standard_normals(keys, n * n).reshape(len(keys), n, n)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)

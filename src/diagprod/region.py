@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import gamma, _check_finite, _radius_many
-from .matrices import _check_tol
+from .matrices import _check_n, _check_tol
 
 __all__ = [
     "Membership",
@@ -65,8 +65,7 @@ def su_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
     n = 2: the image is the real segment [0, 1] (its own boundary).
     n >= 3: polar star-shaped test, |z| versus the boundary radius at arg z.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _check_n(n, 1)
     tol = _check_tol(tol)
     z = _check_finite("z", complex(z))
     return _verdict(*_classify_su_many(n, np.array([z]), tol))
@@ -90,8 +89,7 @@ def su_region_contains_winding(
     Points within ``tol`` of the polyline (including its vertices) classify as
     OnBoundary; otherwise Inside iff the winding number is nonzero.
     """
-    if n < 3:
-        raise ValueError("the winding oracle needs n >= 3")
+    n = _check_n(n, 3)
     if samples < 1024:
         raise ValueError("samples must be at least 1024")
     tol = _check_tol(tol)
@@ -102,8 +100,7 @@ def su_region_contains_winding(
 def u_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
     """Classify z against the diagonal-product image of U(n): the closed unit
     disk for every n >= 2."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _check_n(n, 2)
     tol = _check_tol(tol)
     z = _check_finite("z", complex(z))
     try:
@@ -119,8 +116,7 @@ def so_interval(n: int) -> tuple[float, float]:
     The formula degenerates gracefully: n = 1 gives (1, 1) and n = 2 gives
     (0, 1).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _check_n(n, 1)
     lo = -((1.0 - 2.0 / n) ** n) + 0.0
     return (lo, 1.0)
 

@@ -30,6 +30,7 @@ from .matrices import (
     derive_seed,
     diag_product,
     is_special_unitary,
+    _check_n,
     _check_tol,
     _diag_products,
     _haar_special_orthogonal_batch,
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 _CHUNK = 8192
-_DRAW_BLOCK = 256  # (x, y) pairs per rejection-sampling draw
+_DRAW_BLOCK = 256  # (x, y) pairs in the first rejection-sampling draw
 
 
 @dataclass(frozen=True)
@@ -201,9 +202,9 @@ def monte_carlo_containment(
 ) -> VerificationReport:
     """Sample Haar SU(n) and classify every diagonal product against the
     region; Outside verdicts count as failures."""
-    if n < 1 or trials < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
-    tol = _check_tol(tol)
+    n, tol = _check_n(n, 1), _check_tol(tol)
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     tally = _Tally()
     (zs,) = _over_samples(_haar_special_unitary_batch, n, seed, trials)
     codes, margins = _classify_su_many(n, zs, tol)
@@ -364,9 +365,7 @@ def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
     and ``PreimageConvergenceError`` naming each stage tried and the
     residual it reached when none meets ``tol``.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    tol = _check_tol(tol)
+    n, tol = _check_n(n, 3), _check_tol(tol)
     z = _check_finite("z", complex(z))
     alpha, q, best, stages, outside = _preimage_many(n, np.array([z]), tol)
     if outside[0]:
@@ -381,17 +380,23 @@ def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
 def _interior_points(n: int, count: int, seed: int, tol: float = 1e-9) -> list[complex]:
     """Rejection-sample strictly interior targets from the unit disk.
 
-    Draws come in blocks of ``_DRAW_BLOCK`` (x, y) pairs, the same stream as
-    one pair per draw, and each block is classified by the polar core, whose
-    entries equal the scalar oracle; so the points do not depend on the block.
+    Draws come in blocks of (x, y) pairs, the same stream as one pair per
+    draw, and each block is classified by the polar core, whose entries equal
+    the scalar oracle; so the points do not depend on the blocks, which are
+    sized from the acceptance rate so far (5/4 of the pairs still needed,
+    plus ``_DRAW_BLOCK``, at most 2^16).
     """
     rng = np.random.default_rng(derive_seed(seed, 0x1A7E5107))
     points: list[complex] = []
+    drawn = block = _DRAW_BLOCK
     while len(points) < count:
-        zs = rng.uniform(-1.0, 1.0, (_DRAW_BLOCK, 2)).view(np.complex128)[:, 0]
+        zs = rng.uniform(-1.0, 1.0, (block, 2)).view(np.complex128)[:, 0]
         zs = zs[np.abs(zs) <= 1.0]
         codes, _ = _classify_su_many(n, zs, tol)
         points.extend(complex(z) for z in zs[codes == 1])
+        missing, accepted = count - len(points), max(len(points), 1)
+        block = min(_DRAW_BLOCK + 5 * missing * drawn // (4 * accepted), 1 << 16)
+        drawn += block
     return points[:count]
 
 
@@ -400,9 +405,9 @@ def verify_preimage(
 ) -> VerificationReport:
     """Solve ``trials`` random interior targets in one call of the preimage core
     and self-check every output: residual within ``tol``, special unitarity at 1e-10."""
-    if n < 3 or trials < 1:
-        raise ValueError("need n >= 3 and trials >= 1")
-    tol = _check_tol(tol)
+    n, tol = _check_n(n, 3), _check_tol(tol)
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     tally = _Tally()
     points = _interior_points(n, trials, seed)
     alpha, q, residuals, _, _ = _preimage_many(n, np.array(points, np.complex128), tol)
@@ -419,7 +424,7 @@ def verify_preimage(
 
 
 _PENALTY_STAGES = 7  # initial penalty plus six escalations
-_HALVINGS = 0.5 ** np.arange(4)  # one line-search call tries s, s/2, s/4, s/8
+_STEP_GRID = 0.5 ** np.arange(8)  # one line-search call tries s, s/2, ..., s/128
 
 
 @functools.lru_cache(maxsize=None)
@@ -440,7 +445,12 @@ def _tangent(u: np.ndarray, kw) -> tuple[np.ndarray, np.ndarray]:
     scale = np.reshape(kw, (-1, 1)) * np.multiply.reduce(u.diagonal(0, -2, -1)[:, idx], axis=1)
     q = u * scale[:, None, :] * off
     a = q.conj().swapaxes(-1, -2) - q
-    return a, math.sqrt(0.5) * np.linalg.norm(a, axis=(1, 2))
+    return a, np.sqrt(0.5 * _inner(a, a))
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re sum conj(x) y per matrix of two stacks of complex matrices."""
+    return np.einsum("kij,kij->k", x.view(np.float64), y.view(np.float64))
 
 
 def _moved(v: np.ndarray, lam: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -454,38 +464,48 @@ def _reunitarize(u: np.ndarray) -> np.ndarray:
 
 
 def _penalty_ascent(u: np.ndarray, w: complex, mu: float, cfg: OptimizerConfig) -> np.ndarray:
-    """Ascent of Re(w p) - mu Im(w p)^2, p the diagonal product, for all
-    matrices of the stack u in lockstep; each keeps its own value, step,
-    stall count and stop (a stopped one is masked out).  A step moves u to
-    exp(s a / g) u, a and g from ``_tangent``; the Armijo rule starts at
-    min(2 step, step_init) and halves s until the value rises by more than
-    1e-4 s g, or s < 1e-12.  With (lam, V) = eigh(i a) and b = V^H u, the
-    moved diagonal is sum_m V[i, m] exp(-i s lam_m) b[m, i], so s, s/2, s/4
-    and s/8 are tried in one call and only the first that passes builds the
-    full matrix.  Moving matrices are reunitarized every 128 iterations."""
+    """Conjugate-gradient ascent of Re(w p) - mu Im(w p)^2, p the diagonal
+    product, for all matrices of the stack u in lockstep, each with its own
+    direction, value, step, stall count and stop (stopped ones are masked).
+    d = a + beta d_prev, a from ``_tangent``, beta the Polak-Ribiere+
+    max(0, <a, a - a_prev>) / <a_prev, a_prev>, <x, y> = Re sum x* y (steps
+    translate u from the left, so d_prev carries over); d = a where <a, d> <= 0.
+    u moves to exp(s d / |d|) u, |d| = sqrt(<d, d> / 2), at the best step of
+    min(4 step, step_init) 2^-k, k = 0..7, that raises the value by more than
+    1e-4 s <a, d> / (2 |d|) (Armijo), else the steps are divided by 256 until
+    s < 1e-12.  With (lam, V) = eigh(i d) and b = V^H u, the moved diagonals
+    sum_m V[i, m] exp(-i s lam_m) b[m, i] of all eight steps take one call.
+    Moving matrices are reunitarized every 128 iterations."""
     t = w * _diag_products(u)
     value, step = t.real - mu * t.imag**2, np.full(len(u), cfg.step_init)
     stall, live, rows = np.zeros(len(u), np.int64), np.ones(len(u), bool), np.arange(len(u))
+    d, a_prev, aa_prev = np.zeros_like(u), np.zeros_like(u), np.inf  # beta = 0 at first
     for it in range(cfg.max_iterations):
         a, gnorm = _tangent(u, w * (1.0 + 2j * mu * t.imag))
         live &= gnorm >= 1e-11
         if not live.any():
             break
-        lam, v = np.linalg.eigh(1j * a)
-        lam /= np.where(live, gnorm, 1.0)[:, None]
+        aa = 2.0 * gnorm**2
+        d = a + (np.maximum(aa - _inner(a, a_prev), 0.0) / aa_prev)[:, None, None] * d
+        ad = _inner(a, d)
+        d, ad = np.where((ad > 0.0)[:, None, None], d, a), np.where(ad > 0.0, ad, aa)
+        dnorm = np.where(live, np.sqrt(0.5 * _inner(d, d)), 1.0)
+        a_prev, aa_prev = a, np.where(live, aa, np.inf)
+        lam, v = np.linalg.eigh(1j * d)
+        lam /= dnorm[:, None]
         b = v.conj().swapaxes(-1, -2) @ u
         c = v * b.swapaxes(-1, -2)
-        s = np.minimum(2.0 * step, cfg.step_init)
-        found, pending = value, live
+        s = np.minimum(4.0 * step, cfg.step_init)
+        found, pending, rate = value, live, 1e-4 * ad / (2.0 * dnorm)
         while pending.any():
-            trial = s[:, None] * _HALVINGS
+            trial = s[:, None] * _STEP_GRID
             t_try = w * np.multiply.reduce(c @ np.exp(-1j * lam[:, :, None] * trial[:, None, :]), axis=1)
             v_try = t_try.real - mu * t_try.imag**2
-            ok = (v_try > value[:, None] + 1e-4 * trial * gnorm[:, None]) & (trial >= 1e-12)
+            ok = (v_try > value[:, None] + rate[:, None] * trial) & (trial >= 1e-12)
             ok &= pending[:, None]
-            hit, first = ok.any(axis=1), ok.argmax(axis=1)
-            found = np.where(hit, v_try[rows, first], found)
-            s = np.where(hit, trial[rows, first], np.where(pending, s / 16.0, s))
+            hit, best = ok.any(axis=1), np.where(ok, v_try, -np.inf).argmax(axis=1)
+            found = np.where(hit, v_try[rows, best], found)
+            s = np.where(hit, trial[rows, best], np.where(pending, s / 256.0, s))
             pending = pending & ~hit & (s >= 1e-12)
         live &= found > value
         u = np.where(live[:, None, None], _moved(v, lam, b, s), u)
@@ -525,19 +545,18 @@ def constrained_max_numeric(
     to Im(e^{-i theta} diag product) = 0, and compare with the analytic
     boundary radius at ``theta``.
 
-    All restarts run one lockstep penalty ascent on the exact gradient, and
-    guarded Newton steps then move each feasible result onto the ray.
+    All restarts run one lockstep penalty ascent (Polak-Ribiere+ conjugate
+    gradient on the exact gradient, the best of eight steps per line search),
+    and guarded Newton steps then move each feasible result onto the ray.
     Restarts whose ascent leaves the constraint residual above
     ``tol_constraint`` count as failures; the values, the best matrix and
     ``worst_margin`` = target - best feasible value (negative means the bound
     was exceeded) are taken on the ray.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    cfg = config or OptimizerConfig()
+    n, cfg = _check_n(n, 3), config or OptimizerConfig()
     cfg.validate()
     tally = _Tally()
-    th = float(wrap_angle(theta))
+    th = float(wrap_angle(_check_finite("theta", theta)))
     target = radius_of_theta(n, th).r
     w = complex(np.exp(-1j * th))
     u = _haar_special_unitary_batch(n, seed, cfg.restarts)
@@ -572,8 +591,9 @@ def verify_unit_disk(
     the 2x2-block construction reproduces every grid target in the disk, and
     any sample with a non-negligible off-diagonal entry has product modulus
     strictly below 1."""
-    if n < 2 or trials < 1 or grid < 2:
-        raise ValueError("need n >= 2, trials >= 1, grid >= 2")
+    n = _check_n(n, 2)
+    if trials < 1 or grid < 2:
+        raise ValueError("need trials >= 1, grid >= 2")
     tally = _Tally()
     zs, offmax = _over_samples(_haar_unitary_batch, n, seed, trials, _off_diagonal_max)
     mods = np.abs(zs)
@@ -618,8 +638,9 @@ def verify_so_interval(
     half-turn angle covers the interval with small gaps, Haar samples land
     inside it, and the stated sign/reflection constructions hit both
     endpoints."""
-    if n < 2 or sweep < 2 or trials < 1:
-        raise ValueError("need n >= 2, sweep >= 2, trials >= 1")
+    n = _check_n(n, 2)
+    if sweep < 2 or trials < 1:
+        raise ValueError("need sweep >= 2, trials >= 1")
     tally = _Tally()
     lo, hi = so_interval(n)
 

@@ -236,9 +236,16 @@ class TestAlphaOfTheta:
                     call()
 
 
+def smallest_normal_alpha(n):
+    """The |alpha| below which theta(alpha) ~ k alpha^3, k = (n-1)(n-2)/(6n^2),
+    is no longer a normal float."""
+    return float(np.cbrt(np.finfo(float).tiny * 6 * n * n / ((n - 1) * (n - 2)))) * (1 + 1e-9)
+
+
 class TestAgainstMpmath:
-    """Both maps to a relative error of 1e-13 against 40-digit mpmath over
-    n = 3 .. 10^6, from |theta| = 1e-20 up to the half-turn."""
+    """theta(alpha) to a relative error of 5e-14 against mpmath over
+    n = 3 .. 10^6, from the smallest |alpha| whose theta is a normal float up
+    to the half-turn; alpha(theta) to 1e-13 from |theta| = 1e-20."""
 
     def test_theta_near_cusp_spot(self):
         # regression: alpha - n arctan(...) cancelled to a relative error of
@@ -247,14 +254,22 @@ class TestAgainstMpmath:
 
     @given(SIZES, SIGNS, st.one_of(
         st.floats(-7.0, np.log10(np.pi)).map(lambda e: 10.0**e),
+        st.floats(-103.0, -7.0).map(lambda e: 10.0**e),
         st.floats(-15.0, 0.0).map(lambda e: np.pi - 10.0**e),
     ))
     @example(10**6, 1.0, 1e-7)
     @example(3, -1.0, np.pi)
+    # regression: y^3 in n g(y) underflowed, 2.0e-12 and 1.9e-14 off
+    @example(10**6, 1.0, 8.4e-103)
+    @example(1000, -1.0, 8.4e-103)
+    @example(10**6, 1.0, 0.0)
+    @example(3, 1.0, 0.0)
     @settings(max_examples=150, deadline=None)
     def test_theta_of_alpha_property(self, n, sign, mag):
-        alpha = sign * mag
-        assert rel_error(theta_of_alpha(n, alpha), theta_mp(n, alpha)) <= 1e-13
+        alpha = sign * max(mag, smallest_normal_alpha(n))
+        got = theta_of_alpha(n, alpha)
+        assert abs(got) >= np.finfo(float).tiny
+        assert rel_error(got, theta_mp(n, alpha)) <= 5e-14
 
     @given(SIZES, SIGNS, st.one_of(
         st.floats(-20.0, np.log10(np.pi)).map(lambda e: 10.0**e),

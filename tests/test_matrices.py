@@ -7,27 +7,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagprod import (
+    OptimizerConfig,
+    alpha_of_theta,
+    big_gamma,
     build_extremal,
+    build_homotopy_matrix,
+    build_u_theta,
     build_u_z,
+    constrained_max_numeric,
     derive_seed,
     diag_product,
     exp_skew_hermitian,
+    gamma,
+    gamma_derivative,
     generator_x,
     generator_y,
     haar_special_orthogonal,
     haar_special_unitary,
     haar_unitary,
+    homotopy_diag_product,
     is_special_orthogonal,
     is_special_unitary,
     is_unitary,
+    jacobian_big_gamma,
     monte_carlo_containment,
+    omega_max,
     preimage,
+    radius_of_theta,
     random_extremal,
     recognize_extremal,
+    so_interval,
     su_region_contains,
     su_region_contains_winding,
+    theta_derivative,
+    theta_of_alpha,
     u_region_contains,
     verify_preimage,
+    verify_so_interval,
+    verify_unit_disk,
 )
 from diagprod.matrices import (
     _haar_special_orthogonal_batch,
@@ -179,6 +196,101 @@ class TestGarbageTolerance:
     def test_rejected(self, name, tol):
         with pytest.raises(ValueError, match="tolerance"):
             _TOL_CALLS[name](tol)
+
+
+_TINY_RUN = OptimizerConfig(restarts=1, max_iterations=2)
+_SIZE_CALLS = {
+    "gamma": lambda n: gamma(n, 0.1),
+    "gamma_derivative": lambda n: gamma_derivative(n, 0.1),
+    "theta_of_alpha": lambda n: theta_of_alpha(n, 0.1),
+    "theta_derivative": lambda n: theta_derivative(n, 0.1),
+    "alpha_of_theta": lambda n: alpha_of_theta(n, 0.1),
+    "radius_of_theta": lambda n: radius_of_theta(n, 0.1),
+    "big_gamma": lambda n: big_gamma(n, 0.1, 1.5),
+    "jacobian_big_gamma": lambda n: jacobian_big_gamma(n, 0.1, 1.5),
+    "build_u_theta": lambda n: build_u_theta(n, 0.3),
+    "omega_max": omega_max,
+    "build_homotopy_matrix": lambda n: build_homotopy_matrix(n, 0.3, 0.2),
+    "homotopy_diag_product": lambda n: homotopy_diag_product(n, 0.3, 0.2),
+    "build_u_z": lambda n: build_u_z(n, 0.5),
+    "random_extremal": lambda n: random_extremal(n, 1).v,
+    "generator_x": lambda n: generator_x(n, 1, 2),
+    "generator_y": lambda n: generator_y(n, 1, 2),
+    "haar_unitary": haar_unitary,
+    "haar_special_unitary": haar_special_unitary,
+    "haar_special_orthogonal": haar_special_orthogonal,
+    "su_region_contains": lambda n: su_region_contains(n, 0.1),
+    "su_region_contains_winding": lambda n: su_region_contains_winding(n, 0.1),
+    "u_region_contains": lambda n: u_region_contains(n, 0.1),
+    "so_interval": so_interval,
+    "monte_carlo_containment": lambda n: monte_carlo_containment(n, 5).to_dict(),
+    "preimage": lambda n: preimage(n, 0.1),
+    "verify_preimage": lambda n: verify_preimage(n, 2).to_dict(),
+    "constrained_max_numeric": lambda n: constrained_max_numeric(n, 0.5, _TINY_RUN).to_dict(),
+    "verify_unit_disk": lambda n: verify_unit_disk(n, 5, grid=3).to_dict(),
+    "verify_so_interval": lambda n: verify_so_interval(n, sweep=10, trials=5).to_dict(),
+}
+
+
+class TestMatrixSize:
+    # regression: boundary's check truncated n with int(), so gamma(3.5, .)
+    # answered for n = 3, while preimage(3.5, .) and
+    # constrained_max_numeric(3.5, .) failed deep inside numpy
+    @pytest.mark.parametrize("name", sorted(_SIZE_CALLS))
+    @given(
+        n=st.one_of(
+            st.floats(3.01, 9.99),
+            st.sampled_from([4.0, np.float64(4.0), np.nan, "4", None, 4 + 0j, [4]]),
+        )
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_non_integers_are_rejected(self, name, n):
+        with pytest.raises(ValueError, match="matrix size n must be an integer"):
+            _SIZE_CALLS[name](n)
+
+    @pytest.mark.parametrize("name", sorted(_SIZE_CALLS))
+    def test_numpy_integers_are_accepted(self, name):
+        for n in (np.int64(4), np.int32(4), np.uint8(4)):
+            np.testing.assert_equal(_SIZE_CALLS[name](n), _SIZE_CALLS[name](4))
+
+    @pytest.mark.parametrize("name", sorted(_SIZE_CALLS))
+    def test_too_small_is_rejected(self, name):
+        with pytest.raises(ValueError, match="matrix size n must be an integer >="):
+            _SIZE_CALLS[name](0)
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# name -> (argument named in the error, whether it takes arrays, call with the
+# bad value in that argument)
+_ANGLE_CALLS = {
+    "gamma": ("alpha", True, lambda x: gamma(3, x)),
+    "gamma_derivative": ("alpha", True, lambda x: gamma_derivative(3, x)),
+    "theta_of_alpha": ("alpha", True, lambda x: theta_of_alpha(3, x)),
+    "theta_derivative": ("alpha", True, lambda x: theta_derivative(3, x)),
+    "big_gamma": ("alpha", True, lambda x: big_gamma(3, x, 1.0)),
+    "big_gamma y": ("y", True, lambda x: big_gamma(3, 0.3, x)),
+    "jacobian_big_gamma": ("alpha", True, lambda x: jacobian_big_gamma(3, x, 1.0)),
+    "jacobian_big_gamma y": ("y", True, lambda x: jacobian_big_gamma(3, 0.3, x)),
+    "homotopy_diag_product": ("alpha", True, lambda x: homotopy_diag_product(3, x, 0.3)),
+    "homotopy_diag_product omega": ("omega", True, lambda x: homotopy_diag_product(3, 0.3, x)),
+    "build_homotopy_matrix": ("alpha", False, lambda x: build_homotopy_matrix(3, x, 0.3)),
+    "random_extremal": ("alpha", False, lambda x: random_extremal(3, 0, alpha=x)),
+    "constrained_max_numeric": ("theta", False, lambda x: constrained_max_numeric(3, x)),
+}
+
+
+class TestNonFiniteAngles:
+    # regression: these returned NaN (random_extremal a decomposition with
+    # alpha = nan), and constrained_max_numeric(3, inf) warned in wrap_angle
+    # and then named nan as the bad theta
+    @pytest.mark.parametrize("name", sorted(_ANGLE_CALLS))
+    @given(bad=_NON_FINITE, in_array=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_rejected_naming_the_value(self, name, bad, in_array):
+        arg, takes_arrays, call = _ANGLE_CALLS[name]
+        x = np.array([0.5, bad, 0.25]) if in_array and takes_arrays else bad
+        with pytest.raises(ValueError, match=f"^{arg} must be finite, got {bad!r}$"):
+            call(x)
 
 
 class TestGenerators:

@@ -138,6 +138,23 @@ class TestInteriorPoints:
         got = verify_module._interior_points(n, count, seed)
         assert got == interior_points_one_by_one(n, count, seed)
 
+    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 7), (5, 1), (12, 2)])
+    def test_blocks_follow_the_acceptance_rate(self, n, seed, monkeypatch):
+        # regression: fixed blocks of 256 pairs took 38 classifier calls for
+        # 300 points at n = 3, where about 4% of the pairs are accepted
+        calls = []
+        classify = verify_module._classify_su_many
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return classify(*args)
+
+        monkeypatch.setattr(verify_module, "_classify_su_many", counted)
+        got = verify_module._interior_points(n, 300, seed)
+        monkeypatch.undo()
+        assert len(calls) <= 3, calls
+        assert got[:40] == interior_points_one_by_one(n, 40, seed)
+
 
 def _assert_solves(n, z):
     u = preimage(n, z, tol=1e-8)
@@ -479,6 +496,55 @@ class TestConstrainedMaxDomain:
         on_ray = (np.exp(-1j * theta) * diag_product(rep.best_matrix)).real
         assert abs(best - on_ray) <= 1e-12
         assert is_special_unitary(rep.best_matrix, 1e-10)
+
+    @given(
+        st.integers(3, 6),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(0.1, np.pi),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_c07_bounds_away_from_the_cusp(self, n, sign, magnitude, seed):
+        theta = sign * magnitude
+        rep = constrained_max_numeric(n, theta, seed=seed)
+        target = abs(gamma(n, alpha_of_theta(n, theta)))
+        best = target - rep.worst_margin
+        assert abs(best - target) <= 1e-4
+        assert best <= target + 1e-6
+        assert recognize_extremal(rep.best_matrix, 1e-4) is not None
+        on_ray = (np.exp(-1j * theta) * diag_product(rep.best_matrix)).real
+        assert abs(best - on_ray) <= 1e-12
+
+    def test_near_cusp_stages_stop_before_the_cap(self, monkeypatch):
+        # regression: steepest ascent ran the last two penalty stages here to
+        # max_iterations = 2000 (20, 4, 4, 4, 133, 2000, 2000 iterations)
+        stages, inside = [], [False]
+        ascent, tangent = verify_module._penalty_ascent, verify_module._tangent
+
+        def counted_ascent(u, w, mu, cfg):
+            stages.append(0)
+            inside[0] = True
+            try:
+                return ascent(u, w, mu, cfg)
+            finally:
+                inside[0] = False
+
+        def counted_tangent(u, kw):
+            if inside[0]:
+                stages[-1] += 1
+            return tangent(u, kw)
+
+        monkeypatch.setattr(verify_module, "_penalty_ascent", counted_ascent)
+        monkeypatch.setattr(verify_module, "_tangent", counted_tangent)
+        n, theta = 4, 1e-3
+        rep = constrained_max_numeric(n, theta, seed=0)
+        assert len(stages) == verify_module._PENALTY_STAGES
+        assert max(stages) < OptimizerConfig().max_iterations, stages
+        target = abs(gamma(n, alpha_of_theta(n, theta)))
+        best = target - rep.worst_margin
+        assert abs(best - target) <= 1e-3
+        assert best <= target + 1e-6
+        assert recognize_extremal(rep.best_matrix, 1e-4) is not None
 
     @given(st.integers(3, 5), st.floats(-np.pi, np.pi), st.integers(0, 2**32), st.integers(1, 7))
     @settings(max_examples=20, deadline=None)
