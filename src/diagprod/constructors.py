@@ -54,7 +54,10 @@ class ExtremalDecomposition:
         phases = np.array(self.diag_phases, np.float64).reshape(-1)
         v.flags.writeable = False
         phases.flags.writeable = False
-        object.__setattr__(self, "alpha", float(wrap_angle(self.alpha)))
+        alpha = float(self.alpha)
+        if math.isfinite(alpha):  # violations() reports a non-finite alpha
+            alpha = float(wrap_angle(alpha))
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "diag_phases", phases)
 

@@ -13,6 +13,7 @@ both handled by direct distance tests.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -90,8 +91,8 @@ def su_region_contains_winding(
     OnBoundary; otherwise Inside iff the winding number is nonzero.
     """
     n = _check_n(n, 3)
-    if samples < 1024:
-        raise ValueError("samples must be at least 1024")
+    if not isinstance(samples, numbers.Integral) or samples < 1024:
+        raise ValueError(f"samples must be an integer >= 1024, got {samples!r}")
     tol = _check_tol(tol)
     z = _check_finite("z", complex(z))
     return _verdict(*_winding_codes_many(n, np.array([z]), int(samples), tol))

@@ -74,6 +74,14 @@ class TestBuildExtremal:
             want = abs(1.0 - (1.0 - np.exp(-1j * d.alpha)) / n)
             assert np.abs(np.abs(np.diagonal(u)) - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_reported(self, alpha):
+        # wrapping inf warned (an error under pytest) before violations() ran
+        d = ExtremalDecomposition(alpha, np.full(3, 1 / np.sqrt(3), complex), np.zeros(3))
+        assert "alpha and v must be finite" in d.violations()
+        with pytest.raises(ValueError, match="finite"):
+            build_extremal(d)
+
     def test_rejects_bad_vector(self):
         d = ExtremalDecomposition(1.0, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="modulus"):

@@ -47,9 +47,12 @@ from diagprod import (
     verify_unit_disk,
 )
 from diagprod.matrices import (
+    _GOLDEN64,
     _haar_special_orthogonal_batch,
     _haar_special_unitary_batch,
     _haar_unitary_batch,
+    _householder_q,
+    _splitmix64,
     _standard_normals,
     _stream_keys,
 )
@@ -74,6 +77,31 @@ def splitmix64_reference(seed: int, index: int) -> int:
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+def lapack_haar_reference(group, n, seed, count, start):
+    """The LAPACK sampler (test oracle): batch-first Box-Muller normals from
+    the same counter stream, ``np.linalg.qr``, the R-diagonal phase fix of
+    Mezzadri (2007) and an LU determinant for the special groups."""
+    keys = _stream_keys(seed, start, count)
+    size = n * n if group == "SO" else 2 * n * n
+    pairs = (size + 1) // 2
+    x = _splitmix64(np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN64 + keys[:, None])
+    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:, :pairs]))
+    angle = 2.0 * np.pi * u[:, pairs:]
+    normals = np.empty((count, 2 * pairs))
+    normals[:, 0::2], normals[:, 1::2] = radius * np.cos(angle), radius * np.sin(angle)
+    g = normals[:, :size]
+    g = g.reshape(count, n, n) if group == "SO" else g.view(np.complex128).reshape(count, n, n)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * np.where(d == 0, 1.0, d / np.where(d == 0, 1.0, np.abs(d)))[:, None, :]
+    if group == "SU":
+        q[:, :, 0] /= np.linalg.det(q)[:, None]
+    if group == "SO":
+        q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
+    return q
 
 
 def series_expm(a, terms=60):
@@ -403,6 +431,38 @@ class TestHaarSampling:
                 batch[i], scalar_fn(n, derive_seed(seed, start + i))
             )
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_batch_matches_scalar_at_vector_widths(self, group, n):
+        # counts past the SIMD widths and their tails, bit for bit
+        batch_fn, scalar_fn = _GROUPS[group]
+        seed, start = 2**64 - 3, 2**35
+        for count in (17, 33, 1000, 2048):
+            batch = batch_fn(n, seed, count, start)
+            step = 1 if count < 100 else 97
+            for i in [*range(0, count, step), count - 1]:
+                np.testing.assert_array_equal(
+                    batch[i], scalar_fn(n, derive_seed(seed, start + i))
+                )
+
+    @given(
+        st.sampled_from(sorted(_GROUPS)),
+        st.integers(1, 10),
+        _SEEDS,
+        st.integers(0, 2**40),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_lapack_reference(self, group, n, seed, start, count):
+        got = _GROUPS[group][0](n, seed, count, start)
+        want = lapack_haar_reference(group, n, seed, count, start)
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-12
+        gram = np.swapaxes(got.conj(), 1, 2) @ got - np.eye(n)
+        assert np.abs(gram).max() <= 1e-13
+        if group != "U":
+            assert np.abs(np.linalg.det(got) - 1.0).max() <= 1e-13
+
     def test_first_entry_second_moment(self):
         # column-normalization symmetry gives E|U_11|^2 = 1/n exactly
         batch = _haar_unitary_batch(3, 5, 100000)
@@ -439,6 +499,52 @@ class TestHaarSampling:
             if abs(diag_product(u)) >= 1.0 - 1e-9:
                 off = np.abs(u - np.diag(np.diagonal(u))).max()
                 assert off <= 1e-4
+
+
+def _planes(mats):
+    """Batch-last real and imaginary planes of a stack of matrices."""
+    a = np.asarray(mats).transpose(1, 2, 0)
+    return a.real.copy(), a.imag.copy()
+
+
+class TestHouseholderCore:
+    """Degenerate inputs of the Householder core: a zero column (whose
+    reflector is the identity), triangular and diagonal matrices."""
+
+    CASES = {
+        "zero first column": [[0, 1, 2j], [0, 3, 4], [0, 5, 6 - 1j]],
+        "zero column after a step": [[2, 1, 3], [0, 0, 4j], [0, 0, 5]],
+        "zero matrix": np.zeros((3, 3)),
+        "upper triangular": [[-1 + 2j, 3, 1j], [0, 2, -5], [0, 0, -0.5j]],
+        "complex diagonal": np.diag([1j, -2.0, 3 - 4j]),
+        "negative diagonal": np.diag([-1.0, -2.0, -3.0]),
+    }
+
+    @staticmethod
+    def _check(a, q, det):
+        n = len(a)
+        assert np.isfinite(q).all()
+        assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14
+        r = q.conj().T @ a
+        scale = max(1.0, np.abs(a).max())
+        assert np.abs(np.tril(r, -1)).max() <= 1e-14 * scale
+        assert np.abs(np.diagonal(r).imag).max() <= 1e-14 * scale
+        assert np.diagonal(r).real.min() >= -1e-14 * scale
+        assert abs(det - np.linalg.det(q)) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_complex(self, name):
+        a = np.asarray(self.CASES[name], np.complex128)
+        qr, qi, dr, di = _householder_q(*_planes([a, a.conj()]))
+        for k, mat in enumerate((a, a.conj())):
+            self._check(mat, qr[:, :, k] + 1j * qi[:, :, k], complex(dr[k], di[k]))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_real(self, name):
+        a = np.asarray(self.CASES[name], np.complex128).real
+        q, qi, d, di = _householder_q(_planes([a])[0], None)
+        assert qi is None and di is None
+        self._check(a, q[:, :, 0], d[0])
 
 
 class TestSeedMixing:

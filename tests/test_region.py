@@ -159,6 +159,19 @@ class TestWindingTest:
         with pytest.raises(ValueError):
             su_region_contains_winding(3, 0.0, samples=512)
 
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(2048.9)
+    @example(2048.0)
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_non_integral_samples(self, samples):
+        # a float sample count used to be truncated with int() and run
+        with pytest.raises(ValueError, match="integer"):
+            su_region_contains_winding(3, 0.5, samples=samples)
+
+    def test_numpy_integer_samples_are_accepted(self):
+        got = su_region_contains_winding(3, 0.5, samples=np.int64(2048))
+        assert got == su_region_contains_winding(3, 0.5, samples=2048)
+
     def test_agreement_with_polar_on_grid(self):
         tol = 1e-9
         for n in (3, 5, 8):
