@@ -111,16 +111,16 @@ def build_extremal(d: ExtremalDecomposition, tol: float = 1e-10) -> np.ndarray:
 
 
 def build_u_theta(n: int, theta) -> np.ndarray:
-    """Equal-weight boundary representative at polar angle ``theta`` (n >= 3).
+    """Equal-weight boundary representative at polar angle ``theta`` (n >= 3):
+    the member of :func:`build_extremal` with v = 1/sqrt(n) and each diagonal
+    phase alpha/n.
 
     Its diagonal product is e^{i theta} r(theta), i.e. the boundary point at
     that angle.
     """
     n = _check_n(n, 3)
     a = alpha_of_theta(n, theta)
-    u = np.full((n, n), -(1.0 - np.exp(-1j * a)) / n, dtype=np.complex128)
-    u[np.diag_indices(n)] += 1.0
-    return np.exp(1j * a / n) * u
+    return build_extremal(ExtremalDecomposition(a, np.full(n, n**-0.5), np.full(n, a / n)))
 
 
 def omega_max(n: int) -> float:

@@ -2,8 +2,9 @@
 
 Monte-Carlo containment of Haar samples, constructive preimages through the
 homotopy family, direct numerical solution of the ray-maximization problem
-over SU(n) by a penalty method with multi-start, and dedicated checks for the
-unit-disk (unitary) and real-interval (special orthogonal) images.
+over SU(n) by multi-start ascent on the level set of its constraint, and
+dedicated checks for the unit-disk (unitary) and real-interval (special
+orthogonal) images.
 
 All runs are deterministic functions of their seed: per-trial and per-restart
 Haar samples come from counter-based streams keyed by ``derive_seed`` (a
@@ -19,7 +20,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -67,12 +68,7 @@ class CheckRecord:
     error: float
 
     def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "measured": self.measured,
-            "expected": self.expected,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -100,33 +96,22 @@ class VerificationReport:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "n": self.n,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "details": [r.to_dict() for r in self.details],
-        }
+        keys = ("kind", "n", "trials", "failures", "worst_margin", "seed")
+        out = {k: getattr(self, k) for k in keys}
+        out["details"] = [r.to_dict() for r in self.details]
         if self.best_matrix is not None:
             m = np.asarray(self.best_matrix, np.complex128)
-            out["best_matrix"] = {
-                "re": m.real.tolist(),
-                "im": m.imag.tolist(),
-            }
+            out["best_matrix"] = {"re": m.real.tolist(), "im": m.imag.tolist()}
         return out
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the penalty-method ascent for the ray-maximization problem."""
+    """Knobs of the level-set ascent for the ray-maximization problem."""
 
     restarts: int = 8
     max_iterations: int = 2000
     step_init: float = 0.5
-    constraint_penalty_init: float = 10.0
-    penalty_growth: float = 10.0
     tol_value: float = 1e-12
     tol_constraint: float = 1e-6
 
@@ -423,8 +408,8 @@ def verify_preimage(
     return tally.report("preimage", n, trials, seed)
 
 
-_PENALTY_STAGES = 7  # initial penalty plus six escalations
-_STEP_GRID = 0.5 ** np.arange(8)  # one line-search call tries s, s/2, ..., s/128
+_STEP_GRID = 0.5 ** np.arange(8)  # one call tries the steps s, s/2, ..., s/128
+_ROUNDOFF = 1e-15  # |Im(w p)| at which a matrix counts as on the level set
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,23 +418,21 @@ def _others(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([[i + (i >= k) for k in range(n)] for i in range(n - 1)]), 1.0 - np.eye(n)
 
 
-def _tangent(u: np.ndarray, kw) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of the stack u: the generator a along which exp(s a) u
-    raises Re(kw p) fastest, p the diagonal product, and that rate
-    sqrt(sum |a|^2 / 2).  p moves along X at rate tr(X q), q = u diag(P),
-    P_k the product of the diagonal entries other than the k-th (gathered,
-    not divided); over the rotation and imaginary mixing generators of the
-    pairs j < k (diagonal phase moves leave p unchanged), the gradient is
-    a = q^H - q, with kw folded into q and its diagonal dropped."""
+def _tangent(u: np.ndarray, w: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of the stack u: the generators a_f = q^H - q and
+    a_g = i (q^H + q) along which exp(s a) u raises Re(w p) and Im(w p)
+    fastest, p the diagonal product, each at rate sqrt(<a, a> / 2).  p moves
+    along X at rate tr(X q), q = w u diag(P), P_k the product of the diagonal
+    entries other than the k-th (gathered, not divided), and the diagonal of
+    q is dropped, as diagonal phase moves leave p unchanged."""
     idx, off = _others(u.shape[-1])
-    scale = np.reshape(kw, (-1, 1)) * np.multiply.reduce(u.diagonal(0, -2, -1)[:, idx], axis=1)
-    q = u * scale[:, None, :] * off
-    a = q.conj().swapaxes(-1, -2) - q
-    return a, np.sqrt(0.5 * _inner(a, a))
+    q = u * (w * np.multiply.reduce(u.diagonal(0, -2, -1)[:, idx], axis=1))[:, None, :] * off
+    qh = q.conj().swapaxes(-1, -2)
+    return qh - q, 1j * (qh + q)
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re sum conj(x) y per matrix of two stacks of complex matrices."""
+    """<x, y> = Re sum conj(x) y per matrix of two stacks of complex matrices."""
     return np.einsum("kij,kij->k", x.view(np.float64), y.view(np.float64))
 
 
@@ -458,49 +441,81 @@ def _moved(v: np.ndarray, lam: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.n
     return v @ (np.exp(-1j * s[:, None] * lam)[:, :, None] * b)
 
 
+def _moved_products(v: np.ndarray, lam: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The diagonal products of exp(s_j a) u for each s_j of row s per matrix,
+    as in ``_moved``, from the entries sum_m v[i, m] exp(-i s_j lam_m) b[m, i]."""
+    diag = v * b.swapaxes(-1, -2)
+    return np.multiply.reduce(diag @ np.exp(-1j * lam[:, :, None] * s[:, None, :]), axis=1)
+
+
 def _reunitarize(u: np.ndarray) -> np.ndarray:
     # one Newton-Schulz step; squares the (tiny) orthonormality defect
     return u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
 
 
-def _penalty_ascent(u: np.ndarray, w: complex, mu: float, cfg: OptimizerConfig) -> np.ndarray:
-    """Conjugate-gradient ascent of Re(w p) - mu Im(w p)^2, p the diagonal
-    product, for all matrices of the stack u in lockstep, each with its own
-    direction, value, step, stall count and stop (stopped ones are masked).
-    d = a + beta d_prev, a from ``_tangent``, beta the Polak-Ribiere+
-    max(0, <a, a - a_prev>) / <a_prev, a_prev>, <x, y> = Re sum x* y (steps
-    translate u from the left, so d_prev carries over); d = a where <a, d> <= 0.
-    u moves to exp(s d / |d|) u, |d| = sqrt(<d, d> / 2), at the best step of
-    min(4 step, step_init) 2^-k, k = 0..7, that raises the value by more than
-    1e-4 s <a, d> / (2 |d|) (Armijo), else the steps are divided by 256 until
-    s < 1e-12.  With (lam, V) = eigh(i d) and b = V^H u, the moved diagonals
-    sum_m V[i, m] exp(-i s lam_m) b[m, i] of all eight steps take one call.
-    Moving matrices are reunitarized every 128 iterations."""
-    t = w * _diag_products(u)
-    value, step = t.real - mu * t.imag**2, np.full(len(u), cfg.step_init)
+def _retract(u: np.ndarray, w: complex, t: np.ndarray, steps: int):
+    """(matrices, w p), given t = w p, after up to ``steps`` Newton steps on
+    Im(w p) = 0: exp(sigma a_g) u, sigma = -Im(w p) / (<a_g, a_g> / 2) 2^-k
+    with k = 0..7 giving the least |Im(w p)|, kept only where that is lower
+    (a_g vanishes at p = 1) and taken only where it exceeds ``_ROUNDOFF``."""
+    for _ in range(steps):
+        need = np.abs(t.imag) > _ROUNDOFF
+        if not need.any():
+            break
+        a_g = _tangent(u, w)[1]
+        sigma = -t.imag / np.maximum(0.5 * _inner(a_g, a_g), 1e-300)
+        trial = sigma[:, None] * _STEP_GRID
+        lam, v = np.linalg.eigh(1j * a_g)
+        b = v.conj().swapaxes(-1, -2) @ u
+        pick = np.abs((w * _moved_products(v, lam, b, trial)).imag).argmin(axis=1)
+        u_try = _moved(v, lam, b, np.take_along_axis(trial, pick[:, None], 1)[:, 0])
+        t_try = w * _diag_products(u_try)
+        keep = need & (np.abs(t_try.imag) < np.abs(t.imag))
+        u, t = np.where(keep[:, None, None], u_try, u), np.where(keep, t_try, t)
+    return u, t
+
+
+def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.ndarray:
+    """Ascent of Re(w p) on the level set Im(w p) = 0, p the diagonal product,
+    for all matrices of the stack u in lockstep (stopped ones are masked),
+    each first moved onto it by six ``_retract`` steps.  a = a_f - c a_g,
+    c = <a_f, a_g> / <a_g, a_g>, keeps Im(w p) fixed to first order and is
+    the gradient of the merit Re(w p) - c Im(w p); d = a + beta d_prev, beta
+    the Polak-Ribiere+ max(0, <a, a - a_prev>) / <a_prev, a_prev>, or d = a
+    where <a, d> <= 0.  exp(s d / |d|) u, |d| = sqrt(<d, d> / 2), is tried at
+    s = min(4 step, step_init) 2^-k, k = 0..7, in one call, the best that
+    raises the merit by 1e-4 s <a, d> / (2 |d|) taken (Armijo), else s / 256
+    down to 1e-12.  The move is kept only if two ``_retract`` steps bring
+    |Im(w p)| to max(``_ROUNDOFF``, 1/100 of it before them, 1/2 of it before
+    the move), else u stays and its step is divided by 16.  That holds the
+    path off p = 1 (the diagonal matrices, where a_g vanishes), which a bound
+    of ``tol_constraint`` does not for |theta| near it.  Only kept moves count
+    toward the stall rule.  The ends are reunitarized, then retracted."""
+    u, t = _retract(u, w, w * _diag_products(u), 6)
+    step = np.full(len(u), cfg.step_init)
     stall, live, rows = np.zeros(len(u), np.int64), np.ones(len(u), bool), np.arange(len(u))
     d, a_prev, aa_prev = np.zeros_like(u), np.zeros_like(u), np.inf  # beta = 0 at first
-    for it in range(cfg.max_iterations):
-        a, gnorm = _tangent(u, w * (1.0 + 2j * mu * t.imag))
-        live &= gnorm >= 1e-11
+    for _ in range(cfg.max_iterations):
+        a_f, a_g = _tangent(u, w)
+        c = _inner(a_f, a_g) / np.maximum(_inner(a_g, a_g), 1e-300)
+        a = a_f - c[:, None, None] * a_g
+        aa = _inner(a, a)
+        live &= aa >= 2e-22  # a rate of at least 1e-11
         if not live.any():
             break
-        aa = 2.0 * gnorm**2
         d = a + (np.maximum(aa - _inner(a, a_prev), 0.0) / aa_prev)[:, None, None] * d
         ad = _inner(a, d)
         d, ad = np.where((ad > 0.0)[:, None, None], d, a), np.where(ad > 0.0, ad, aa)
         dnorm = np.where(live, np.sqrt(0.5 * _inner(d, d)), 1.0)
         a_prev, aa_prev = a, np.where(live, aa, np.inf)
-        lam, v = np.linalg.eigh(1j * d)
-        lam /= dnorm[:, None]
+        lam, v = np.linalg.eigh(1j * d / dnorm[:, None, None])
         b = v.conj().swapaxes(-1, -2) @ u
-        c = v * b.swapaxes(-1, -2)
-        s = np.minimum(4.0 * step, cfg.step_init)
+        value, s = t.real - c * t.imag, np.minimum(4.0 * step, cfg.step_init)
         found, pending, rate = value, live, 1e-4 * ad / (2.0 * dnorm)
         while pending.any():
             trial = s[:, None] * _STEP_GRID
-            t_try = w * np.multiply.reduce(c @ np.exp(-1j * lam[:, :, None] * trial[:, None, :]), axis=1)
-            v_try = t_try.real - mu * t_try.imag**2
+            t_try = w * _moved_products(v, lam, b, trial)
+            v_try = t_try.real - c[:, None] * t_try.imag
             ok = (v_try > value[:, None] + rate[:, None] * trial) & (trial >= 1e-12)
             ok &= pending[:, None]
             hit, best = ok.any(axis=1), np.where(ok, v_try, -np.inf).argmax(axis=1)
@@ -508,31 +523,18 @@ def _penalty_ascent(u: np.ndarray, w: complex, mu: float, cfg: OptimizerConfig) 
             s = np.where(hit, trial[rows, best], np.where(pending, s / 256.0, s))
             pending = pending & ~hit & (s >= 1e-12)
         live &= found > value
-        u = np.where(live[:, None, None], _moved(v, lam, b, s), u)
-        gain, value, step = found - value, found, s
-        stall = np.where(gain <= cfg.tol_value * (1.0 + np.abs(value)), stall + 1, 0)
+        u_new = _moved(v, lam, b, s)
+        t_new = w * _diag_products(u_new)
+        u_new, t_ret = _retract(u_new, w, t_new, 2)
+        bound = np.maximum(_ROUNDOFF, np.maximum(0.01 * np.abs(t_new.imag), 0.5 * np.abs(t.imag)))
+        kept = live & (np.abs(t_ret.imag) <= bound)
+        slow = t_ret.real - t.real <= cfg.tol_value * (1.0 + np.abs(t_ret.real))
+        u, t = np.where(kept[:, None, None], u_new, u), np.where(kept, t_ret, t)
+        step = np.where(kept, s, np.where(live, s / 16.0, step))
+        stall = np.where(kept, np.where(slow, stall + 1, 0), stall)
         live &= stall < 3
-        if (it + 1) % 128 == 0:
-            u = np.where(live[:, None, None], _reunitarize(u), u)
-        t = w * _diag_products(u)
-    return _reunitarize(u)
-
-
-def _onto_ray(u: np.ndarray, w: complex, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(matrices, w p) after up to two Newton steps on Im(w p) = 0 along the
-    generator that moves it fastest, for each matrix with |Im(w p)| <= tol;
-    a step is kept only where it lowers |Im(w p)|: that gradient is 0 at p = 1."""
-    t = w * _diag_products(u)
-    for _ in range(2):
-        a, gnorm = _tangent(u, -1j * w)
-        lam, v = np.linalg.eigh(1j * a)
-        sigma = np.where(gnorm > 1e-150, -t.imag / np.maximum(gnorm, 1e-150) ** 2, 0.0)
-        u_try = _moved(v, lam, v.conj().swapaxes(-1, -2) @ u, sigma)
-        t_try = w * _diag_products(u_try)
-        keep = (np.abs(t_try.imag) < np.abs(t.imag)) & (np.abs(t.imag) <= tol)
-        u = np.where(keep[:, None, None], u_try, u)
-        t = np.where(keep, t_try, t)
-    return u, t
+    u = _reunitarize(u)  # squares the sum of the moves' rounding defects
+    return _retract(u, w, w * _diag_products(u), 2)[0]
 
 
 def constrained_max_numeric(
@@ -545,13 +547,14 @@ def constrained_max_numeric(
     to Im(e^{-i theta} diag product) = 0, and compare with the analytic
     boundary radius at ``theta``.
 
-    All restarts run one lockstep penalty ascent (Polak-Ribiere+ conjugate
-    gradient on the exact gradient, the best of eight steps per line search),
-    and guarded Newton steps then move each feasible result onto the ray.
-    Restarts whose ascent leaves the constraint residual above
+    All restarts run one lockstep ascent that keeps each iterate on the
+    level set Im(e^{-i theta} diag product) = 0: Polak-Ribiere+ conjugate
+    gradient on the projection of the exact gradient, the best of eight
+    steps per line search, and guarded Newton steps back onto the level set
+    after each move.  Restarts that end with the constraint residual above
     ``tol_constraint`` count as failures; the values, the best matrix and
     ``worst_margin`` = target - best feasible value (negative means the bound
-    was exceeded) are taken on the ray.
+    was exceeded) are read at the ends of the ascents.
     """
     n, cfg = _check_n(n, 3), config or OptimizerConfig()
     cfg.validate()
@@ -559,13 +562,9 @@ def constrained_max_numeric(
     th = float(wrap_angle(_check_finite("theta", theta)))
     target = radius_of_theta(n, th).r
     w = complex(np.exp(-1j * th))
-    u = _haar_special_unitary_batch(n, seed, cfg.restarts)
-    mu = cfg.constraint_penalty_init
-    for _ in range(_PENALTY_STAGES):
-        u = _penalty_ascent(u, w, mu, cfg)
-        mu *= cfg.penalty_growth
-    residuals = np.abs((w * _diag_products(u)).imag)
-    u, t = _onto_ray(u, w, cfg.tol_constraint)
+    u = _level_set_ascent(_haar_special_unitary_batch(n, seed, cfg.restarts), w, cfg)
+    t = w * _diag_products(u)
+    residuals = np.abs(t.imag)
     best = (False, -math.inf, None)
     for r in range(cfg.restarts):
         feasible, value = bool(residuals[r] <= cfg.tol_constraint), float(t[r].real)
