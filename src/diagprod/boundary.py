@@ -47,16 +47,17 @@ def _check_finite(name: str, x):
 
 
 def wrap_angle(x):
-    """Reduce angles to (-pi, pi]; values already in [-pi, pi] are unchanged."""
+    """Reduce angles to (-pi, pi] by an exact multiple of the float 2 pi, so every
+    finite angle lands in range; values already in [-pi, pi] are unchanged."""
     a = np.asarray(x, np.float64)
-    out = a - _TWO_PI * np.round(a / _TWO_PI)  # |a / 2pi| <= 1/2 rounds to 0
+    out = np.fmod(a, _TWO_PI)  # exact, so no rounding error grows with |a|
+    out -= _TWO_PI * np.round(out / _TWO_PI)  # exact; |out / 2pi| <= 1/2 rounds to 0
     out = np.where((out == -np.pi) & (a != -np.pi), np.pi, out)
     return float(out) if out.ndim == 0 else out
 
 
 def _ipow(base, k: int):
     """base**k for integer k >= 0 by repeated squaring (no log-branch issues)."""
-    k = int(k)
     result = np.ones_like(base)
     b = base
     while k:
@@ -160,7 +161,6 @@ def _invert_theta(n: int, targets: np.ndarray) -> np.ndarray:
     iterates bisects it instead.  No step depends on other entries, so an
     entry of a batch equals the same target inverted alone, bit for bit.
     """
-    n = int(n)
     t = np.asarray(targets, np.float64)
     at = np.abs(t)
     root = np.cbrt(at)

@@ -24,6 +24,7 @@ exactly; reruns with identical flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -173,13 +174,9 @@ def _matrix_record(command: str, u: np.ndarray, params: dict) -> OutputRecord:
     return OutputRecord(SCHEMA_VERSION, command, params, columns, rows)
 
 
-def _cmd_extremal(args, parser) -> int:
-    if (args.theta is None) == (args.alpha is None):
-        parser.error("provide exactly one of --theta or --alpha")
+def _cmd_extremal(args) -> int:
     n = args.n
     if args.theta is not None:
-        if n < 3:
-            parser.error("--theta requires n >= 3")
         u = build_u_theta(n, args.theta)
         analytic = complex(np.exp(1j * args.theta) * radius_of_theta(n, args.theta).r)
         mode = {"theta": _fmt(args.theta)}
@@ -220,7 +217,7 @@ def _cmd_preimage(args) -> int:
 _VERIFY_KINDS = ("montecarlo", "preimage", "constrainedmax", "disk", "so")
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     kind = args.kind
     if kind == "montecarlo":
         report = monte_carlo_containment(args.n, args.trials, args.seed, args.tol)
@@ -228,7 +225,7 @@ def _cmd_verify(args, parser) -> int:
         report = verify_preimage(args.n, args.trials, args.seed, max(args.tol, 1e-12))
     elif kind == "constrainedmax":
         if args.theta is None:
-            parser.error("--theta is required for --kind constrainedmax")
+            build_parser().error("--theta is required for --kind constrainedmax")
         report = constrained_max_numeric(args.n, args.theta, seed=args.seed)
     elif kind == "disk":
         report = verify_unit_disk(args.n, args.trials, args.seed, args.grid)
@@ -256,51 +253,77 @@ def _cmd_verify(args, parser) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {count}")
+    return count
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return tol
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It checks only what no
+    library call checks (sample counts >= 2, ``--tol`` finite and positive);
+    the library rejects a bad n or trial count with ValueError, which
+    :func:`main` turns into exit code 2."""
     parser = argparse.ArgumentParser(
         prog="diagprod",
         description="Diagonal-product image of SU(n): curves, membership, "
         "extremal matrices, preimages and verification (angles in radians).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, required=True)
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol", type=_tolerance, default=1e-9)
+    point = argparse.ArgumentParser(add_help=False, parents=[tolerance])
+    point.add_argument("--re", type=float, required=True)
+    point.add_argument("--im", type=float, required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None)
+    output.add_argument("--seed", type=int, default=0)
+    table = argparse.ArgumentParser(add_help=False, parents=[output])
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser(
         "boundary",
+        parents=[size, table],
         help="sample the boundary curve",
         description="Sample the boundary curve uniformly in its parameter. "
         "Columns: alpha (curve parameter, radians), re/im (curve value), "
         "theta (polar angle), r (polar radius).",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1024)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_sample_count, default=1024)
+    p.set_defaults(run=_cmd_boundary)
 
     p = sub.add_parser(
         "gamma-image",
         aliases=["gamma_image"],
+        parents=[size, table],
         help="sample the interior map",
         description="Sample the two-parameter interior map over "
         "[0, pi] x [1, n-1].  Columns: alpha, y (map parameters), re/im "
         "(map value), jacobian (closed-form Jacobian).  The header carries "
         "the reference circle radius (1-2/n)^n.",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha-samples", type=int, default=256)
-    p.add_argument("--y-samples", type=int, default=128)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha-samples", type=_sample_count, default=256)
+    p.add_argument("--y-samples", type=_sample_count, default=128)
+    p.set_defaults(run=_cmd_gamma_image)
 
-    p = sub.add_parser("membership", help="classify a point against the region")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    sub.add_parser(
+        "membership", parents=[size, point], help="classify a point against the region"
+    ).set_defaults(run=_cmd_membership)
 
     p = sub.add_parser(
         "extremal",
+        parents=[size, table],
         help="emit a boundary-attaining matrix",
         description="Emit a boundary-attaining special unitary matrix, by "
         "curve parameter --alpha (random gauge, seeded) or polar angle "
@@ -308,75 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
         "(entries of matrix row i, column j).  The header carries the "
         "diagonal product and the analytic curve value for comparison.",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--theta", type=float, default=None)
+    mode.add_argument("--alpha", type=float, default=None)
+    p.set_defaults(run=_cmd_extremal)
 
-    p = sub.add_parser("preimage", help="matrix with a prescribed diagonal product")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    sub.add_parser(
+        "preimage", parents=[size, point], help="matrix with a prescribed diagonal product"
+    ).set_defaults(run=_cmd_preimage)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", parents=[size, tolerance, output], help="run a verification suite")
     p.add_argument("--kind", choices=_VERIFY_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--sweep", type=int, default=10000)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
 
-def _validate_common(args, parser) -> None:
-    if "tol" in args and not 0.0 < args.tol < math.inf:
-        parser.error("--tol must be finite and positive")
-    if args.command == "boundary":
-        if args.n < 1:
-            parser.error("--n must be at least 1")
-        if args.samples < 2:
-            parser.error("--samples must be at least 2")
-    elif args.command in ("gamma-image", "gamma_image"):
-        if args.n < 3:
-            parser.error("--n must be at least 3")
-        if args.alpha_samples < 2 or args.y_samples < 2:
-            parser.error("sample counts must be at least 2")
-    elif args.command == "membership":
-        if args.n < 1:
-            parser.error("--n must be at least 1")
-    elif args.command == "preimage":
-        if args.n < 3:
-            parser.error("--n must be at least 3")
-    elif args.command == "verify":
-        if args.n < 1:
-            parser.error("--n must be at least 1")
-        if args.trials < 1:
-            parser.error("--trials must be at least 1")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate_common(args, parser)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "boundary":
-            return _cmd_boundary(args)
-        if args.command in ("gamma-image", "gamma_image"):
-            return _cmd_gamma_image(args)
-        if args.command == "membership":
-            return _cmd_membership(args)
-        if args.command == "extremal":
-            return _cmd_extremal(args, parser)
-        if args.command == "preimage":
-            return _cmd_preimage(args)
-        return _cmd_verify(args, parser)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import alpha_of_theta, wrap_angle, _check_finite, _ipow
-from .matrices import diag_product, is_special_unitary, _check_n, _check_tol, _MASK64
+from .matrices import diag_product, is_special_unitary, _check_n, _check_tol, _square, _MASK64
 
 __all__ = [
     "ExtremalDecomposition",
@@ -260,13 +260,8 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
     ``tol`` in the max-entry norm.  For n = 2 the diagonal entries vanish at
     the half-turn, so the closed-form SU(2) split is used instead.
     """
-    u = np.asarray(u, np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = u.shape[0]
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    tol = _check_tol(tol)
+    u = np.asarray(_square(u), np.complex128)
+    n, tol = _check_n(len(u), 2), _check_tol(tol)
     if not is_special_unitary(u, tol):
         raise ValueError("matrix is not special unitary within tolerance")
 
@@ -333,7 +328,7 @@ def random_extremal(n: int, seed: int = 0, alpha: float | None = None) -> Extrem
     """Seeded random valid decomposition; ``alpha`` is drawn uniformly when
     not given."""
     n = _check_n(n, 1)
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    rng = np.random.default_rng(_check_n(seed, name="seed") & _MASK64)
     if alpha is None:
         alpha = rng.uniform(-math.pi, math.pi)
     alpha = float(wrap_angle(_check_finite("alpha", alpha)))

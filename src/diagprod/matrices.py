@@ -57,9 +57,9 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def _stream_keys(seed: int, first: int, count: int) -> np.ndarray:
     """``derive_seed(seed, first + i)`` for ``i`` in ``range(count)``, as ``uint64``."""
     x = np.arange(count, dtype=np.uint64)
-    x += np.uint64((int(first) + 1) & _MASK64)
+    x += np.uint64((first + 1) & _MASK64)
     x *= _GOLDEN64
-    x += np.uint64(int(seed) & _MASK64)
+    x += np.uint64(seed & _MASK64)
     return _splitmix64(x)
 
 
@@ -68,9 +68,10 @@ def derive_seed(seed: int, index: int) -> int:
 
     SplitMix64: the finalizer applied to ``seed + (index + 1) * golden`` modulo
     2**64.  The map is pure, so substreams may be drawn in any order (or
-    concurrently) and still coincide with a serial run.
+    concurrently) and still coincide with a serial run.  Both arguments may
+    be any integers.
     """
-    return int(_stream_keys(seed, index, 1)[0])
+    return int(_stream_keys(_check_n(seed, name="seed"), _check_n(index, name="index"), 1)[0])
 
 
 def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
@@ -118,11 +119,15 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _check_n(n, minimum: int) -> int:
-    """``n`` as an int; ValueError unless it is an integer (numpy's too) >= ``minimum``."""
-    if not isinstance(n, numbers.Integral) or n < minimum:
-        raise ValueError(f"matrix size n must be an integer >= {minimum}, got {n!r}")
-    return int(n)
+def _check_n(value, minimum: int | None = None, name: str = "matrix size n") -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer
+    (numpy's too, but not a bool) and at least ``minimum`` (if given).  Every
+    integer argument of the package is checked here, at its public entry."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{least}, got {value!r}")
+    return int(value)
 
 
 def _diag_products(mats: np.ndarray) -> np.ndarray:
@@ -163,7 +168,7 @@ def is_special_orthogonal(m, tol: float = 1e-10) -> bool:
 
 
 def _check_pair(n: int, j: int, k: int) -> int:
-    n = _check_n(n, 2)
+    n, j, k = _check_n(n, 2), _check_n(j, name="j"), _check_n(k, name="k")
     if not (1 <= j < k <= n):
         raise ValueError(f"indices must satisfy 1 <= j < k <= n, got j={j}, k={k}, n={n}")
     return n
@@ -203,7 +208,7 @@ def exp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
 
 
 def _one_key(seed: int) -> np.ndarray:
-    return np.array([int(seed) & _MASK64], np.uint64)
+    return np.array([_check_n(seed, name="seed") & _MASK64], np.uint64)
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:

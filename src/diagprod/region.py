@@ -13,7 +13,6 @@ both handled by direct distance tests.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -90,12 +89,10 @@ def su_region_contains_winding(
     Points within ``tol`` of the polyline (including its vertices) classify as
     OnBoundary; otherwise Inside iff the winding number is nonzero.
     """
-    n = _check_n(n, 3)
-    if not isinstance(samples, numbers.Integral) or samples < 1024:
-        raise ValueError(f"samples must be an integer >= 1024, got {samples!r}")
+    n, samples = _check_n(n, 3), _check_n(samples, 1024, "samples")
     tol = _check_tol(tol)
     z = _check_finite("z", complex(z))
-    return _verdict(*_winding_codes_many(n, np.array([z]), int(samples), tol))
+    return _verdict(*_winding_codes_many(n, np.array([z]), samples, tol))
 
 
 def u_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
@@ -169,12 +166,9 @@ def _winding_codes_many(
     coordinates, which the relative 1e-9 and the absolute 1e-12 on the
     distance bound cover.
     """
-    if n < 3:
-        raise ValueError("the winding oracle needs n >= 3")
     zs = np.asarray(zs, np.complex128).reshape(-1)
     finite = np.isfinite(zs)
     zs = np.where(finite, zs, 0.0)
-    samples = int(samples)
     pts = _boundary_polyline(n, samples)
     xmin, xmax, ymin, ymax = _polyline_boxes(n, samples)
     offsets = np.arange(_RUN)

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -107,23 +106,17 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the level-set ascent for the ray-maximization problem."""
+    """Knobs of the level-set ascent for the ray-maximization problem: the
+    number of Haar restarts and the iteration cap of each."""
 
     restarts: int = 8
     max_iterations: int = 2000
-    step_init: float = 0.5
-    tol_value: float = 1e-12
-    tol_constraint: float = 1e-6
 
-    def validate(self) -> None:
-        """Raise ValueError naming the first field that is not a positive
-        integer (the two counts) or a finite positive number (the rest)."""
-        for item in fields(self):
-            value, count = getattr(self, item.name), item.name in ("restarts", "max_iterations")
-            kind = numbers.Integral if count else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
-                what = "positive integer" if count else "finite positive number"
-                raise ValueError(f"{item.name} must be a {what}, got {value!r}")
+    def validate(self) -> OptimizerConfig:
+        """This config with both fields as ints; ValueError naming the first
+        field that is not a positive integer."""
+        restarts = _check_n(self.restarts, 1, "restarts")
+        return OptimizerConfig(restarts, _check_n(self.max_iterations, 1, "max_iterations"))
 
 
 class PreimageConvergenceError(RuntimeError):
@@ -187,9 +180,8 @@ def monte_carlo_containment(
 ) -> VerificationReport:
     """Sample Haar SU(n) and classify every diagonal product against the
     region; Outside verdicts count as failures."""
-    n, tol = _check_n(n, 1), _check_tol(tol)
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    n, trials, seed = _check_n(n, 1), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
+    tol = _check_tol(tol)
     tally = _Tally()
     (zs,) = _over_samples(_haar_special_unitary_batch, n, seed, trials)
     codes, margins = _classify_su_many(n, zs, tol)
@@ -390,9 +382,8 @@ def verify_preimage(
 ) -> VerificationReport:
     """Solve ``trials`` random interior targets in one call of the preimage core
     and self-check every output: residual within ``tol``, special unitarity at 1e-10."""
-    n, tol = _check_n(n, 3), _check_tol(tol)
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    n, trials, seed = _check_n(n, 3), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
+    tol = _check_tol(tol)
     tally = _Tally()
     points = _interior_points(n, trials, seed)
     alpha, q, residuals, _, _ = _preimage_many(n, np.array(points, np.complex128), tol)
@@ -410,6 +401,9 @@ def verify_preimage(
 
 _STEP_GRID = 0.5 ** np.arange(8)  # one call tries the steps s, s/2, ..., s/128
 _ROUNDOFF = 1e-15  # |Im(w p)| at which a matrix counts as on the level set
+_STEP_INIT = 0.5  # the longest step of a line search
+_TOL_VALUE = 1e-12  # relative gain at or below which a kept move counts as stalled
+_TOL_CONSTRAINT = 1e-6  # |Im(w p)| above which a restart's end counts as infeasible
 
 
 @functools.lru_cache(maxsize=None)
@@ -483,16 +477,16 @@ def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.nda
     the gradient of the merit Re(w p) - c Im(w p); d = a + beta d_prev, beta
     the Polak-Ribiere+ max(0, <a, a - a_prev>) / <a_prev, a_prev>, or d = a
     where <a, d> <= 0.  exp(s d / |d|) u, |d| = sqrt(<d, d> / 2), is tried at
-    s = min(4 step, step_init) 2^-k, k = 0..7, in one call, the best that
+    s = min(4 step, _STEP_INIT) 2^-k, k = 0..7, in one call, the best that
     raises the merit by 1e-4 s <a, d> / (2 |d|) taken (Armijo), else s / 256
     down to 1e-12.  The move is kept only if two ``_retract`` steps bring
     |Im(w p)| to max(``_ROUNDOFF``, 1/100 of it before them, 1/2 of it before
     the move), else u stays and its step is divided by 16.  That holds the
     path off p = 1 (the diagonal matrices, where a_g vanishes), which a bound
-    of ``tol_constraint`` does not for |theta| near it.  Only kept moves count
+    of ``_TOL_CONSTRAINT`` does not for |theta| near it.  Only kept moves count
     toward the stall rule.  The ends are reunitarized, then retracted."""
     u, t = _retract(u, w, w * _diag_products(u), 6)
-    step = np.full(len(u), cfg.step_init)
+    step = np.full(len(u), _STEP_INIT)
     stall, live, rows = np.zeros(len(u), np.int64), np.ones(len(u), bool), np.arange(len(u))
     d, a_prev, aa_prev = np.zeros_like(u), np.zeros_like(u), np.inf  # beta = 0 at first
     for _ in range(cfg.max_iterations):
@@ -510,7 +504,7 @@ def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.nda
         a_prev, aa_prev = a, np.where(live, aa, np.inf)
         lam, v = np.linalg.eigh(1j * d / dnorm[:, None, None])
         b = v.conj().swapaxes(-1, -2) @ u
-        value, s = t.real - c * t.imag, np.minimum(4.0 * step, cfg.step_init)
+        value, s = t.real - c * t.imag, np.minimum(4.0 * step, _STEP_INIT)
         found, pending, rate = value, live, 1e-4 * ad / (2.0 * dnorm)
         while pending.any():
             trial = s[:, None] * _STEP_GRID
@@ -528,7 +522,7 @@ def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.nda
         u_new, t_ret = _retract(u_new, w, t_new, 2)
         bound = np.maximum(_ROUNDOFF, np.maximum(0.01 * np.abs(t_new.imag), 0.5 * np.abs(t.imag)))
         kept = live & (np.abs(t_ret.imag) <= bound)
-        slow = t_ret.real - t.real <= cfg.tol_value * (1.0 + np.abs(t_ret.real))
+        slow = t_ret.real - t.real <= _TOL_VALUE * (1.0 + np.abs(t_ret.real))
         u, t = np.where(kept[:, None, None], u_new, u), np.where(kept, t_ret, t)
         step = np.where(kept, s, np.where(live, s / 16.0, step))
         stall = np.where(kept, np.where(slow, stall + 1, 0), stall)
@@ -552,12 +546,12 @@ def constrained_max_numeric(
     gradient on the projection of the exact gradient, the best of eight
     steps per line search, and guarded Newton steps back onto the level set
     after each move.  Restarts that end with the constraint residual above
-    ``tol_constraint`` count as failures; the values, the best matrix and
+    1e-6 count as failures; the values, the best matrix and
     ``worst_margin`` = target - best feasible value (negative means the bound
     was exceeded) are read at the ends of the ascents.
     """
-    n, cfg = _check_n(n, 3), config or OptimizerConfig()
-    cfg.validate()
+    n, seed = _check_n(n, 3), _check_n(seed, name="seed")
+    cfg = (config or OptimizerConfig()).validate()
     tally = _Tally()
     th = float(wrap_angle(_check_finite("theta", theta)))
     target = radius_of_theta(n, th).r
@@ -567,7 +561,7 @@ def constrained_max_numeric(
     residuals = np.abs(t.imag)
     best = (False, -math.inf, None)
     for r in range(cfg.restarts):
-        feasible, value = bool(residuals[r] <= cfg.tol_constraint), float(t[r].real)
+        feasible, value = bool(residuals[r] <= _TOL_CONSTRAINT), float(t[r].real)
         label = f"restart={r} constraint={residuals[r]:.3e} feasible={feasible}"
         tally.add(CheckRecord(label, value, target, abs(value - target)), not feasible)
         if (feasible, value) > best[:2]:
@@ -590,9 +584,8 @@ def verify_unit_disk(
     the 2x2-block construction reproduces every grid target in the disk, and
     any sample with a non-negligible off-diagonal entry has product modulus
     strictly below 1."""
-    n = _check_n(n, 2)
-    if trials < 1 or grid < 2:
-        raise ValueError("need trials >= 1, grid >= 2")
+    n, trials, seed = _check_n(n, 2), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
+    grid = _check_n(grid, 2, "grid")
     tally = _Tally()
     zs, offmax = _over_samples(_haar_unitary_batch, n, seed, trials, _off_diagonal_max)
     mods = np.abs(zs)
@@ -637,9 +630,8 @@ def verify_so_interval(
     half-turn angle covers the interval with small gaps, Haar samples land
     inside it, and the stated sign/reflection constructions hit both
     endpoints."""
-    n = _check_n(n, 2)
-    if sweep < 2 or trials < 1:
-        raise ValueError("need sweep >= 2, trials >= 1")
+    n, trials, seed = _check_n(n, 2), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
+    sweep = _check_n(sweep, 2, "sweep")
     tally = _Tally()
     lo, hi = so_interval(n)
 

@@ -2,6 +2,7 @@
 map and inverse, the radius profile, and the two-parameter interior map."""
 
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -378,3 +379,21 @@ class TestWrapAngle:
         assert wrap_angle(3.0 * np.pi) == pytest.approx(np.pi)
         assert wrap_angle(-3.0 * np.pi) == pytest.approx(np.pi)
         assert wrap_angle(2.5 * np.pi) == pytest.approx(0.5 * np.pi)
+
+    # regression: a - 2 pi round(a / 2 pi) left (-pi, pi] for |a| above about
+    # 1.5e15 (wrap_angle(1e16) was -4.0, theta_of_alpha(3, 1e16) -5.54)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(1e16)
+    @example(-1e16)
+    @example(3.0 * np.pi)
+    @example(-np.pi)
+    @example(1.7976931348623157e308)
+    @settings(max_examples=500, deadline=None)
+    def test_every_finite_angle_lands_in_range(self, x):
+        r = wrap_angle(x)
+        assert -np.pi < r <= np.pi or r == x == -np.pi
+        assert r == x or abs(x) > np.pi
+        # x - r is an integer multiple of the float 2 pi, exactly
+        assert ((Fraction(x) - Fraction(r)) / Fraction(2.0 * np.pi)).denominator == 1
+        assert wrap_angle(np.array([x]))[0] == r
+        assert -np.pi <= theta_of_alpha(3, x) <= np.pi

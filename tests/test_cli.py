@@ -119,10 +119,10 @@ class TestBoundaryCommand:
         rc = main(["boundary", "--n", "3", "--out", "/nonexistent/dir/x.csv"])
         assert rc == 3
 
-    def test_usage_errors(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["boundary", "--n", "0"])
-        assert exc.value.code == 2
+    def test_usage_errors(self, capsys):
+        # the library rejects n; the parser rejects what no library call checks
+        assert main(["boundary", "--n", "0"]) == 2
+        assert "matrix size n must be an integer >= 1, got 0" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["boundary", "--n", "3", "--samples", "1"])
         assert exc.value.code == 2
@@ -352,3 +352,29 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--kind", "bogus", "--n", "3"])
         assert exc.value.code == 2
+
+
+class TestMatrixSizeFlag:
+    # n is checked by the library alone, whose message names it
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            (["boundary", "--samples", "8"], 1),
+            (["gamma-image", "--alpha-samples", "3", "--y-samples", "2"], 3),
+            (["membership", "--re", "0.1", "--im", "0"], 1),
+            (["extremal", "--alpha", "0.5"], 1),
+            (["extremal", "--theta", "0.5"], 3),
+            (["preimage", "--re", "0.1", "--im", "0"], 3),
+            (["verify", "--kind", "montecarlo", "--trials", "5"], 1),
+            (["verify", "--kind", "preimage", "--trials", "2"], 3),
+            (["verify", "--kind", "constrainedmax", "--theta", "0.5"], 3),
+            (["verify", "--kind", "disk", "--trials", "5", "--grid", "3"], 2),
+            (["verify", "--kind", "so", "--trials", "5", "--sweep", "10"], 2),
+        ],
+        ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else str(v),
+    )
+    def test_n_below_the_minimum_exits_2_naming_it(self, capsys, argv, least):
+        assert main([*argv, "--n", str(least - 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"matrix size n must be an integer >= {least}, got {least - 1}" in err
+        assert main([*argv, "--n", str(least)]) in (0, 1)

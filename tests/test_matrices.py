@@ -1,6 +1,8 @@
 """Matrix primitive tests: diagonal products, predicates, generators,
 exponentials and Haar sampling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,87 @@ class TestMatrixSize:
     def test_too_small_is_rejected(self, name):
         with pytest.raises(ValueError, match="matrix size n must be an integer >="):
             _SIZE_CALLS[name](0)
+
+    # regression: a bool is an int, so gamma(True, 0.3) answered for n = 1
+    @pytest.mark.parametrize("name", sorted(_SIZE_CALLS))
+    @pytest.mark.parametrize("n", [True, False, np.bool_(True)], ids=["True", "False", "np.True_"])
+    def test_bools_are_rejected(self, name, n):
+        with pytest.raises(ValueError, match="matrix size n must be an integer >="):
+            _SIZE_CALLS[name](n)
+
+
+def _comparable(out):
+    """A call's result in a form ``np.testing.assert_equal`` compares; a
+    report as its JSON text, which a numpy integer echoed in it breaks."""
+    return json.dumps(out.to_dict()) if hasattr(out, "to_dict") else out
+
+
+_NOT_INTEGERS = st.one_of(
+    st.floats().filter(lambda x: not x.is_integer()),
+    st.sampled_from([np.nan, 4.0, np.float64(4.0), "4", None, True, False, np.bool_(True)]),
+)
+# name -> (argument named in the error, its minimum, call with that argument)
+_COUNT_CALLS = {
+    "monte_carlo_containment trials": ("trials", 1, lambda k: monte_carlo_containment(3, k)),
+    "verify_preimage trials": ("trials", 1, lambda k: verify_preimage(3, k)),
+    "verify_unit_disk trials": ("trials", 1, lambda k: verify_unit_disk(2, k, grid=3)),
+    "verify_unit_disk grid": ("grid", 2, lambda k: verify_unit_disk(2, 3, grid=k)),
+    "verify_so_interval trials": ("trials", 1, lambda k: verify_so_interval(3, 10, k)),
+    "verify_so_interval sweep": ("sweep", 2, lambda k: verify_so_interval(3, k, 3)),
+    "su_region_contains_winding samples": (
+        "samples", 1024, lambda k: su_region_contains_winding(3, 0.1, k)
+    ),
+}
+# name -> (argument named in the error, call with that argument)
+_SEED_CALLS = {
+    "haar_unitary": ("seed", lambda s: haar_unitary(3, s)),
+    "haar_special_unitary": ("seed", lambda s: haar_special_unitary(3, s)),
+    "haar_special_orthogonal": ("seed", lambda s: haar_special_orthogonal(3, s)),
+    "derive_seed": ("seed", lambda s: derive_seed(s, 3)),
+    "derive_seed index": ("index", lambda s: derive_seed(3, s)),
+    "random_extremal": ("seed", lambda s: random_extremal(3, s).v),
+    "monte_carlo_containment": ("seed", lambda s: monte_carlo_containment(3, 3, s)),
+    "verify_preimage": ("seed", lambda s: verify_preimage(3, 2, s)),
+    "constrained_max_numeric": ("seed", lambda s: constrained_max_numeric(3, 0.5, _TINY_RUN, s)),
+    "verify_unit_disk": ("seed", lambda s: verify_unit_disk(2, 3, s, 3)),
+    "verify_so_interval": ("seed", lambda s: verify_so_interval(3, 10, 3, s)),
+}
+
+
+class TestCountsAndSeeds:
+    # regression: monte_carlo_containment(3, True) ran one trial and reported
+    # "trials": true, trials=2.5 failed inside numpy, and seed=1.5 ran stream
+    # 1 while the report said 1.5
+    @pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+    @given(bad=st.one_of(_NOT_INTEGERS, st.integers(max_value=0)))
+    @settings(max_examples=15, deadline=None)
+    def test_bad_counts_are_rejected(self, name, bad):
+        arg, least, call = _COUNT_CALLS[name]
+        if type(bad) is int:
+            bad += least - 1  # at most one below the minimum
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer >= {least}, got "):
+            call(bad)
+
+    @pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_counts_match_python_ints(self, name, kind):
+        _, least, call = _COUNT_CALLS[name]
+        np.testing.assert_equal(_comparable(call(kind(least + 2))), _comparable(call(least + 2)))
+
+    @pytest.mark.parametrize("name", sorted(_SEED_CALLS))
+    @given(bad=_NOT_INTEGERS)
+    @settings(max_examples=10, deadline=None)
+    def test_bad_seeds_are_rejected(self, name, bad):
+        arg, call = _SEED_CALLS[name]
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer, got "):
+            call(bad)
+
+    @pytest.mark.parametrize("name", sorted(_SEED_CALLS))
+    @given(seed=st.integers(-(2**63), 2**63 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_numpy_seeds_match_python_ints(self, name, seed):
+        call = _SEED_CALLS[name][1]
+        np.testing.assert_equal(_comparable(call(np.int64(seed))), _comparable(call(seed)))
 
 
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])

@@ -1,6 +1,7 @@
 """Verification-run tests at desk scale (the acceptance module runs the full
 spec-scale workloads)."""
 
+import json
 import math
 
 import numpy as np
@@ -360,20 +361,16 @@ class TestConstrainedMax:
 
 
 _COUNT_FIELDS = ("restarts", "max_iterations")
-_FLOAT_FIELDS = ("step_init", "tol_value", "tol_constraint")
 _INVALID = st.sampled_from((0, -1, 0.0, -0.5, -math.inf, math.nan, math.inf, True, None, "1"))
 
 
 class TestOptimizerConfigDomain:
-    # regression: when only "> 0" was checked, step_init=inf never returned
-    # and restarts=2.5 raised a TypeError deep in the loop
+    # regression: when only "> 0" was checked, restarts=2.5 raised a
+    # TypeError deep in the loop
     @given(
-        st.one_of(
-            st.tuples(
-                st.sampled_from(_COUNT_FIELDS),
-                st.one_of(_INVALID, st.sampled_from((2.5, 3.0, 1e300))),
-            ),
-            st.tuples(st.sampled_from(_FLOAT_FIELDS), _INVALID),
+        st.tuples(
+            st.sampled_from(_COUNT_FIELDS),
+            st.one_of(_INVALID, st.sampled_from((2.5, 3.0, 1e300))),
         )
     )
     @settings(max_examples=100, deadline=None)
@@ -385,21 +382,21 @@ class TestOptimizerConfigDomain:
         with pytest.raises(ValueError, match=name):
             constrained_max_numeric(3, 0.5, config=cfg)
 
-    @given(
-        st.integers(1, 3),
-        st.integers(1, 40),
-        st.floats(1e-3, 10.0),
-        st.floats(1e-15, 1e-3),
-        st.floats(1e-12, 1e-2),
-        st.integers(0, 2**32),
-    )
+    @given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
-    def test_valid_config_runs(self, restarts, iterations, step, tol_v, tol_c, s):
-        cfg = OptimizerConfig(restarts, iterations, step, tol_v, tol_c)
+    def test_valid_config_runs(self, restarts, iterations, s):
+        cfg = OptimizerConfig(restarts, iterations)
         rep = constrained_max_numeric(3, 0.5, config=cfg, seed=s)
         assert rep.trials == restarts and len(rep.details) == restarts
         assert np.isfinite(rep.worst_margin)
         assert is_special_unitary(rep.best_matrix, 1e-10)
+
+    def test_numpy_counts_match_python_ints(self):
+        # regression: restarts=np.int64(2) reported trials as a numpy integer,
+        # which json.dumps rejects
+        ints = constrained_max_numeric(3, 0.5, OptimizerConfig(2, 5), seed=1)
+        numpy_ints = constrained_max_numeric(3, 0.5, OptimizerConfig(np.int64(2), np.int32(5)), seed=1)
+        assert json.dumps(numpy_ints.to_dict()) == json.dumps(ints.to_dict())
 
 
 _FD_STEP = 1e-6
@@ -893,7 +890,7 @@ class TestFailureBranches:
 
     def test_constrained_max_infeasible_restarts(self, monkeypatch):
         # without the ascent every restart keeps its Haar sample, whose
-        # constraint residual is far above tol_constraint
+        # constraint residual is far above the feasibility bound 1e-6
         monkeypatch.setattr(verify_module, "_level_set_ascent", lambda u, w, cfg: u)
         n, theta, seed = 3, 0.7, 4
         rep = constrained_max_numeric(n, theta, OptimizerConfig(restarts=4), seed)
