@@ -4,12 +4,14 @@ Diagonal products, unitary/special-unitary/special-orthogonal predicates,
 the skew-Hermitian generator basis, guaranteed-unitary matrix exponentials,
 and seeded Haar sampling of U(n), SU(n) and SO(n).
 
-A Haar sample is the Q factor with a real positive R diagonal of a Gaussian
-matrix.  One Householder core computes it for a whole batch at once, on
-batch-last real and imaginary float64 planes, and reads det Q off the same
-reflectors, so the special groups need no LU pass.  It uses only real
-elementwise operations and explicitly ordered sums, so slice i of a batch
-equals the single sample bit for bit.
+A Haar sample is Stewart's (1980) product of Householder reflectors, each
+built from its own fresh Gaussian vector: the law of the Q factor with a
+real positive R diagonal of a Gaussian matrix, from n(n+1)/2 normals per
+real plane and no QR pass.  One core accumulates it for a whole batch at
+once, on batch-last real and imaginary float64 planes, and reads det Q off
+the same reflectors, so the special groups need no LU pass.  It uses only
+real elementwise operations and explicitly ordered sums, so slice i of a
+batch equals the single sample bit for bit.
 """
 
 from __future__ import annotations
@@ -223,136 +225,126 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _reflect(beta, vr, vi, br, bi, work: np.ndarray) -> None:
+def _reflect(beta, v: np.ndarray, b: np.ndarray, work: np.ndarray) -> None:
     """Apply ``I - beta v v^H`` in place to every column of a block.
 
-    ``v = vr + i vi`` has shape ``(p, m)`` and the block ``br + i bi`` shape
-    ``(p, c, m)``, ``p >= 2``; ``vi`` and ``bi`` are None for a real
-    reflector.  ``work`` holds two scratch planes of at least the block's
-    shape, so no block-sized temporary is allocated.
+    ``v`` holds the reflector as ``(P, p, m)`` planes and ``b`` the block as
+    ``(P, p, c, m)`` planes, ``p >= 2``: ``P = 1`` for a real reflector and 2
+    (real, imaginary) for a complex one.  ``work`` holds two scratch stacks of
+    at least the block's shape, so no block-sized temporary is allocated.
     """
-    p, c = br.shape[:2]
-    s, t = work[0, :p, :c], work[1, :p, :c]
-    vr = vr[:, None]
-    np.multiply(vr, br, out=s)
-    if bi is not None:
-        vi = vi[:, None]
-        s += np.multiply(vi, bi, out=t)
-    wr = _ordered_sum(s)
-    wr *= beta
-    if bi is not None:
-        np.multiply(vr, bi, out=s)
-        s -= np.multiply(vi, br, out=t)
-        wi = _ordered_sum(s)
-        wi *= beta
-    br -= np.multiply(vr, wr, out=s)
-    if bi is not None:
-        br += np.multiply(vi, wi, out=s)
-        bi -= np.multiply(vr, wi, out=s)
-        bi -= np.multiply(vi, wr, out=s)
+    p, c = b.shape[1:3]
+    s, t = work[0, :, :p, :c], work[1, :, :p, :c]
+    vr = v[0, :, None]
+    np.multiply(vr, b, out=s)  # vr br, vr bi
+    if len(v) == 2:
+        vi = v[1, :, None]
+        np.multiply(vi, b[::-1], out=t)  # vi bi, vi br
+        s[0] += t[0]
+        s[1] -= t[1]
+    w = _ordered_sum(s.swapaxes(0, 1))  # v^H b: (wr, wi)
+    w *= beta
+    b -= np.multiply(vr, w[:, None], out=s)
+    if len(v) == 2:
+        np.multiply(vi, w[::-1, None], out=t)  # vi wi, vi wr
+        b[0] += t[0]
+        b[1] -= t[1]
 
 
-def _householder_q(ar: np.ndarray, ai: np.ndarray | None):
-    """Q with a real nonnegative R diagonal, and det Q, for a batch-last stack.
+def _householder_q(v: np.ndarray):
+    """Q = H_0 ... H_{n-2} diag(f) and det Q, for a batch-last stack.
 
-    ``ar + i ai`` holds ``m`` matrices as ``(n, n, m)`` real and imaginary
-    planes (``ai`` None for real input); both are overwritten.  Step ``k``
-    reflects ``x = A[k:, k]`` with ``v = x + ph |x| e1``, ``ph`` the phase of
-    ``x[0]`` (1 where it is 0), so ``R_kk = -ph |x|``.  The Haar-fixed factor
-    is the backward-accumulated ``H_0 ... H_{n-2} diag(f)`` with ``f_k = -ph_k``
-    (``ph_k`` where ``x = 0`` and ``H_k = I``) and ``f_{n-1} = ph_{n-1}``, so
-    ``det Q = ph_0 ... ph_{n-1}`` comes from the reflectors.  Only real
-    elementwise operations are used, so each matrix of a batch gets the same
-    bits as it would alone.  Returns ``(qr, qi, dr, di)``; ``qi`` and ``di``
-    are None for real input.
+    ``v`` holds ``m`` lower-triangular ``(n, n, m)`` matrices as ``P`` planes,
+    shape ``(P, n, n, m)``: ``P = 1`` for real input, 2 (real, imaginary) for
+    complex.  Column ``k``, rows ``k..n-1``, is the vector ``x`` of reflector
+    ``k``; the strict upper triangle must be zero, so the norms of all columns
+    come from one ordered sum (leading zeros add exactly).  ``H_k = I -
+    beta_k u u^H`` on rows ``k..n-1`` with ``u = x + ph_k |x| e1``, ``ph_k`` the
+    phase of ``x[0]`` (1 where it is 0); ``u`` is written over ``x``.  ``f_k =
+    -ph_k`` (``ph_k`` where ``x = 0`` and ``H_k = I``) and ``f_{n-1} =
+    ph_{n-1}``, so ``det Q = ph_0 ... ph_{n-1}``.  Only real elementwise
+    operations are used, so each matrix of a batch gets the same bits as it
+    would alone.  Returns Q as ``(P, n, n, m)`` planes and det Q as ``(P, m)``.
     """
-    n, _, m = ar.shape
-    cplx = ai is not None
-    ph = np.empty((2 if cplx else 1, n, m))
-    phr, phi = ph[0], (ph[1] if cplx else None)
-    beta = np.zeros((n - 1, m))
-    work = np.empty((2, n, n, m))
-    for k in range(n):
-        xr = ar[k:, k]
-        xi = ai[k:, k] if cplx else None
-        sq = xr * xr
-        if cplx:
-            sq += xi * xi
-        x0 = np.sqrt(sq[0])
-        nonzero = x0 > 0.0
-        safe = np.where(nonzero, x0, 1.0)
-        phr[k] = np.where(nonzero, xr[0] / safe, 1.0)
-        if cplx:
-            phi[k] = xi[0] / safe
-        if k == n - 1:
-            break
-        norm = np.sqrt(_ordered_sum(sq))
-        scale = x0 + norm
-        xr[0] = phr[k] * scale
-        if cplx:
-            xi[0] = phi[k] * scale
-        scale *= norm  # |v|^2 / 2, zero only for a zero column, where H_k = I
-        np.divide(1.0, scale, out=beta[k], where=scale > 0.0)
-        _reflect(beta[k], xr, xi, ar[k:, k + 1 :], ai[k:, k + 1 :] if cplx else None, work)
+    cplx = len(v) == 2
+    n, m = v.shape[2:]
     diag = np.arange(n)
-    q = np.zeros((len(ph), n, n, m))
+    sq = v[0] * v[0]
+    if cplx:
+        sq += v[1] * v[1]
+    x0 = np.sqrt(sq[diag, diag])
+    nonzero = x0 > 0.0
+    ph = v[:, diag, diag] / np.where(nonzero, x0, 1.0)
+    ph[0, ~nonzero] = 1.0
+    beta = np.zeros((n - 1, m))
+    if n > 1:
+        norm = np.sqrt(_ordered_sum(sq[:, :-1]))
+        scale = x0[:-1] + norm
+        v[:, diag[:-1], diag[:-1]] = ph[:, :-1] * scale
+        scale *= norm  # |u|^2 / 2, zero only for a zero vector, where H_k = I
+        np.divide(1.0, scale, out=beta, where=scale > 0.0)
+    q = np.zeros(v.shape)
     q[:, diag, diag] = ph
     q[:, diag[:-1], diag[:-1]] *= np.where(beta > 0.0, -1.0, 1.0)
-    qr, qi = q[0], (q[1] if cplx else None)
+    work = np.empty((2,) + v.shape)
     for k in range(n - 2, -1, -1):
-        _reflect(
-            beta[k], ar[k:, k], ai[k:, k] if cplx else None,
-            qr[k:, k:], qi[k:, k:] if cplx else None, work,
-        )
-    dr, di = phr[0], (phi[0] if cplx else None)
+        _reflect(beta[k], v[:, k:, k], q[:, k:, k:], work)
+    d = ph[:, 0]
     for k in range(1, n):
         if cplx:
-            dr, di = dr * phr[k] - di * phi[k], dr * phi[k] + di * phr[k]
+            (dr, di), (pr, pi) = d, ph[:, k]
+            d = np.array([dr * pr - di * pi, dr * pi + di * pr])
         else:
-            dr = dr * phr[k]
-    return qr, qi, dr, di
+            d = d * ph[:, k]
+    return q, d
 
 
-def _unitary_planes(n: int, keys: np.ndarray):
-    """Householder Q and det Q of the complex Ginibre matrices whose entries
-    are consecutive Box-Muller pairs (QR is scale-free, so the entry variance
-    does not matter), one per stream key: the ``r cos`` and ``r sin`` halves
-    of the normals are the real and imaginary planes."""
+def _reflector_vectors(n: int, keys: np.ndarray, planes: int) -> np.ndarray:
+    """Stewart's (1980) reflector vectors, one set per stream key, for
+    ``_householder_q``: each key's ``planes * n (n + 1) / 2`` normals, taken
+    ``planes`` at a time (the ``r cos`` and ``r sin`` halves of a Box-Muller
+    pair are the real and imaginary parts of a complex entry), fill the lower
+    triangle column by column, so column ``k``, rows ``k..n-1``, is reflector
+    ``k``'s fresh Gaussian vector.  In a QR of a Gaussian matrix, reflector
+    ``k`` sees exactly such a vector, independent of the earlier ones, so no
+    forward pass is needed; the reflectors are scale-free, so the entry
+    variance does not matter."""
     n = _check_n(n, 1)
-    g = _standard_normals(keys, 2 * n * n).reshape(n, n, 2, len(keys))
-    return _householder_q(g[:, :, 0], g[:, :, 1])
+    g = _standard_normals(keys, planes * (n * (n + 1) // 2)).reshape(-1, planes, len(keys))
+    cols, rows = np.triu_indices(n)
+    v = np.zeros((planes, n, n, len(keys)))
+    v[:, rows, cols] = g.transpose(1, 0, 2)
+    return v
 
 
-def _batch_first(qr: np.ndarray, qi: np.ndarray) -> np.ndarray:
-    """The ``(m, n, n)`` complex stack of batch-last ``(n, n, m)`` planes."""
-    out = np.empty(qr.shape[2:] + qr.shape[:2], np.complex128)
+def _batch_first(q: np.ndarray) -> np.ndarray:
+    """The ``(m, n, n)`` complex stack of batch-last ``(2, n, n, m)`` planes."""
+    out = np.empty(q.shape[3:] + q.shape[1:3], np.complex128)
     planes = out.transpose(1, 2, 0)
-    planes.real, planes.imag = qr, qi
+    planes.real, planes.imag = q
     return out
 
 
 def _haar_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
-    """One Haar U(n) sample per stream key: the Q factor of the Ginibre
-    matrix with a real positive R diagonal (Mezzadri 2007)."""
-    qr, qi, _, _ = _unitary_planes(n, keys)
-    return _batch_first(qr, qi)
+    """One Haar U(n) sample per stream key: Stewart's Householder Q, which
+    has the law of the Q factor of a complex Ginibre matrix with a real
+    positive R diagonal (Mezzadri 2007)."""
+    return _batch_first(_householder_q(_reflector_vectors(n, keys, 2))[0])
 
 
 def _haar_special_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """The U(n) sample with column 1 divided by det Q: multiplied by its
     conjugate, since det Q is a unit phase."""
-    qr, qi, dr, di = _unitary_planes(n, keys)
-    cr, ci = qr[:, 0], qi[:, 0]
+    q, (dr, di) = _householder_q(_reflector_vectors(n, keys, 2))
+    cr, ci = q[:, :, 0]
     cr[...], ci[...] = cr * dr + ci * di, ci * dr - cr * di
-    return _batch_first(qr, qi)
+    return _batch_first(q)
 
 
 def _haar_special_orthogonal_keys(n: int, keys: np.ndarray) -> np.ndarray:
-    """One Haar SO(n) sample per stream key: the Q factor of a real Gaussian
-    matrix with a positive R diagonal, column 1 flipped where det Q = -1."""
-    n = _check_n(n, 1)
-    g = _standard_normals(keys, n * n).reshape(n, n, len(keys))
-    q, _, d, _ = _householder_q(g, None)
+    """One Haar SO(n) sample per stream key: Stewart's Q from real reflector
+    vectors, column 1 flipped where det Q = -1."""
+    (q,), (d,) = _householder_q(_reflector_vectors(n, keys, 1))
     q[:, 0] *= d
     return np.ascontiguousarray(q.transpose(2, 0, 1))
 
@@ -372,11 +364,12 @@ def _haar_special_orthogonal_batch(n: int, seed: int, count: int, start: int = 0
 
 
 def haar_unitary(n: int, seed: int = 0) -> np.ndarray:
-    """Haar-distributed U(n) sample: the Q factor with a real positive R
-    diagonal (Householder reflections on real and imaginary planes) of a
-    complex Ginibre matrix.  The Ginibre entries are Box-Muller normals from
-    the counter-based SplitMix64 stream keyed by ``seed``, so the sample is
-    deterministic in ``seed``."""
+    """Haar-distributed U(n) sample: Stewart's product of Householder
+    reflectors, reflector ``k`` built from ``n - k`` fresh complex normals,
+    times the phase fix that makes it the law of the Q factor with a real
+    positive R diagonal of a complex Ginibre matrix.  The normals are
+    Box-Muller pairs from the counter-based SplitMix64 stream keyed by
+    ``seed``, so the sample is deterministic in ``seed``."""
     return _haar_unitary_keys(n, _one_key(seed))[0]
 
 
@@ -387,9 +380,9 @@ def haar_special_unitary(n: int, seed: int = 0) -> np.ndarray:
 
 
 def haar_special_orthogonal(n: int, seed: int = 0) -> np.ndarray:
-    """Haar SO(n) sample: the Q factor with a positive R diagonal
-    (Householder reflections) of a real Gaussian matrix, column 1 flipped if
-    the determinant, read off the reflectors, is -1.  The Gaussian entries are
-    Box-Muller normals from the counter-based SplitMix64 stream keyed by
-    ``seed``."""
+    """Haar SO(n) sample: Stewart's product of real Householder reflectors,
+    reflector ``k`` built from ``n - k`` fresh Box-Muller normals of the
+    counter-based SplitMix64 stream keyed by ``seed``, times the sign fix of
+    a positive R diagonal, with column 1 flipped if the determinant, read off
+    the reflectors, is -1."""
     return _haar_special_orthogonal_keys(n, _one_key(seed))[0]

@@ -81,12 +81,40 @@ def splitmix64_reference(seed: int, index: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def lapack_haar_reference(group, n, seed, count, start):
-    """The LAPACK sampler (test oracle): batch-first Box-Muller normals from
-    the same counter stream, ``np.linalg.qr``, the R-diagonal phase fix of
-    Mezzadri (2007) and an LU determinant for the special groups."""
+def stewart_q_reference(v):
+    """Stewart's Q in dense complex arithmetic (test oracle): column k of the
+    lower-triangular ``v``, rows k.., is reflector k's vector x, and
+    Q = H_0 ... H_{n-2} diag(f) with the explicit matrices
+    H_k = I - 2 w w^H / |w|^2 on rows k.., w = x + ph |x| e1, ph the phase of
+    x[0] (1 where it is 0); f_k = -ph, except f_k = ph where x = 0 (H_k = I)
+    and for k = n - 1."""
+    v = np.asarray(v, np.complex128)
+    n = len(v)
+    q = np.eye(n, dtype=np.complex128)
+    f = np.empty(n, np.complex128)
+    for k in range(n):
+        x = v[k:, k]
+        ph = x[0] / abs(x[0]) if x[0] != 0 else 1.0
+        f[k] = ph
+        if k == n - 1 or not x.any():
+            continue
+        w = x.copy()
+        w[0] += ph * np.linalg.norm(x)
+        h = np.eye(n, dtype=np.complex128)
+        h[k:, k:] -= 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+        q = q @ h
+        f[k] = -ph
+    return q * f
+
+
+def stewart_haar_reference(group, n, seed, count, start):
+    """Stream-version-3 Haar samples (test oracle): batch-first Box-Muller
+    normals from the same counter stream, entry t of the lower triangle
+    (column by column) the t-th normal (real pair t for U and SU),
+    ``stewart_q_reference``, then an LU determinant: SU divides column 1 by
+    it, SO flips column 1 where it is -1."""
     keys = _stream_keys(seed, start, count)
-    size = n * n if group == "SO" else 2 * n * n
+    size = n * (n + 1) // 2 * (1 if group == "SO" else 2)
     pairs = (size + 1) // 2
     x = _splitmix64(np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN64 + keys[:, None])
     u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
@@ -94,16 +122,21 @@ def lapack_haar_reference(group, n, seed, count, start):
     angle = 2.0 * np.pi * u[:, pairs:]
     normals = np.empty((count, 2 * pairs))
     normals[:, 0::2], normals[:, 1::2] = radius * np.cos(angle), radius * np.sin(angle)
-    g = normals[:, :size]
-    g = g.reshape(count, n, n) if group == "SO" else g.view(np.complex128).reshape(count, n, n)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * np.where(d == 0, 1.0, d / np.where(d == 0, 1.0, np.abs(d)))[:, None, :]
-    if group == "SU":
-        q[:, :, 0] /= np.linalg.det(q)[:, None]
-    if group == "SO":
-        q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
-    return q
+    out = []
+    for z in normals[:, :size]:
+        entries = iter(z if group == "SO" else z[0::2] + 1j * z[1::2])
+        v = np.zeros((n, n), np.complex128)
+        for k in range(n):
+            for i in range(k, n):
+                v[i, k] = next(entries)
+        q = stewart_q_reference(v)
+        if group == "SU":
+            q[:, 0] /= np.linalg.det(q)
+        if group == "SO":
+            q = q.real
+            q[:, 0] *= np.sign(np.linalg.det(q))
+        out.append(q)
+    return np.array(out)
 
 
 def series_expm(a, terms=60):
@@ -536,15 +569,57 @@ class TestHaarSampling:
         st.integers(1, 6),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_lapack_reference(self, group, n, seed, start, count):
+    def test_matches_dense_reference(self, group, n, seed, start, count):
         got = _GROUPS[group][0](n, seed, count, start)
-        want = lapack_haar_reference(group, n, seed, count, start)
+        want = stewart_haar_reference(group, n, seed, count, start)
         assert got.dtype == want.dtype
         assert np.abs(got - want).max() <= 1e-12
         gram = np.swapaxes(got.conj(), 1, 2) @ got - np.eye(n)
         assert np.abs(gram).max() <= 1e-13
         if group != "U":
             assert np.abs(np.linalg.det(got) - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_entry_moments_match_haar(self, group, n):
+        # every entry (i, j), since a misplaced reflector entry biases some:
+        # |U_ij|^2 is Beta(1, n - 1) for U and SU, so E|U_ij|^2 = 1/n and
+        # E|U_ij|^4 = 2/(n(n+1)); O_ij^2 is Beta(1/2, (n - 1)/2) for SO, so
+        # E O_ij^2 = 1/n and E O_ij^4 = 3/(n(n+2))
+        sq = np.abs(_GROUPS[group][0](n, 11, 100000)) ** 2
+        fourth = 3.0 / (n * (n + 2)) if group == "SO" else 2.0 / (n * (n + 1))
+        for moment, want in ((sq, 1.0 / n), (sq * sq, fourth)):
+            mean = moment.mean(axis=0)
+            sem = moment.std(axis=0) / np.sqrt(len(moment))
+            assert (np.abs(mean - want) <= 5.0 * sem).all(), (mean, want)
+
+    def test_su3_diagonal_product_matches_lapack_haar(self):
+        # |p| and arg p of SU(3) diagonal products, against Haar samples from
+        # LAPACK QR of numpy Gaussian matrices with the R-diagonal phase fix
+        from scipy import stats
+
+        count = 20000
+        rng = np.random.default_rng(2024)
+        g = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (d / np.abs(d))[:, None, :]
+        q[:, :, 0] /= np.linalg.det(q)[:, None]
+        want = np.prod(np.diagonal(q, axis1=-2, axis2=-1), axis=-1)
+        got = np.prod(np.diagonal(_haar_special_unitary_batch(3, 77, count), axis1=-2, axis2=-1), axis=-1)
+        assert stats.ks_2samp(np.abs(got), np.abs(want)).pvalue > 1e-3
+        assert stats.ks_2samp(np.angle(got), np.angle(want)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_samplers_call_no_linalg(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called by a Haar sampler")
+
+        for name in ("qr", "det", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for batch_fn, scalar_fn in _GROUPS.values():
+            assert batch_fn(n, 3, 5, 7).shape == (5, n, n)
+            assert scalar_fn(n, 3).shape == (n, n)
 
     def test_first_entry_second_moment(self):
         # column-normalization symmetry gives E|U_11|^2 = 1/n exactly
@@ -591,43 +666,42 @@ def _planes(mats):
 
 
 class TestHouseholderCore:
-    """Degenerate inputs of the Householder core: a zero column (whose
-    reflector is the identity), triangular and diagonal matrices."""
+    """Degenerate reflector vectors of the Householder core.  Column k of each
+    lower-triangular layout, rows k.., is reflector k's vector: a zero vector
+    (whose reflector is the identity), diagonal and general layouts."""
 
     CASES = {
-        "zero first column": [[0, 1, 2j], [0, 3, 4], [0, 5, 6 - 1j]],
-        "zero column after a step": [[2, 1, 3], [0, 0, 4j], [0, 0, 5]],
+        "zero first column": [[0, 0, 0], [0, 3, 0], [0, 5, 6 - 1j]],
+        "zero column after a step": [[2, 0, 0], [1j, 0, 0], [-3, 0, 5]],
         "zero matrix": np.zeros((3, 3)),
-        "upper triangular": [[-1 + 2j, 3, 1j], [0, 2, -5], [0, 0, -0.5j]],
+        "lower triangular": [[-1 + 2j, 0, 0], [3, 2, 0], [1j, -5, -0.5j]],
         "complex diagonal": np.diag([1j, -2.0, 3 - 4j]),
         "negative diagonal": np.diag([-1.0, -2.0, -3.0]),
     }
 
     @staticmethod
-    def _check(a, q, det):
-        n = len(a)
+    def _check(v, q, det):
+        n = len(v)
         assert np.isfinite(q).all()
         assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14
-        r = q.conj().T @ a
-        scale = max(1.0, np.abs(a).max())
-        assert np.abs(np.tril(r, -1)).max() <= 1e-14 * scale
-        assert np.abs(np.diagonal(r).imag).max() <= 1e-14 * scale
-        assert np.diagonal(r).real.min() >= -1e-14 * scale
+        assert np.abs(q - stewart_q_reference(v)).max() <= 1e-14
         assert abs(det - np.linalg.det(q)) <= 1e-14
+        if not np.any(v):
+            np.testing.assert_array_equal(q, np.eye(n))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_complex(self, name):
-        a = np.asarray(self.CASES[name], np.complex128)
-        qr, qi, dr, di = _householder_q(*_planes([a, a.conj()]))
-        for k, mat in enumerate((a, a.conj())):
-            self._check(mat, qr[:, :, k] + 1j * qi[:, :, k], complex(dr[k], di[k]))
+        v = np.asarray(self.CASES[name], np.complex128)
+        (qr, qi), (dr, di) = _householder_q(np.array(_planes([v, v.conj()])))
+        for k, vec in enumerate((v, v.conj())):
+            self._check(vec, qr[:, :, k] + 1j * qi[:, :, k], complex(dr[k], di[k]))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_real(self, name):
-        a = np.asarray(self.CASES[name], np.complex128).real
-        q, qi, d, di = _householder_q(_planes([a])[0], None)
-        assert qi is None and di is None
-        self._check(a, q[:, :, 0], d[0])
+        v = np.asarray(self.CASES[name], np.complex128).real
+        q, d = _householder_q(_planes([v])[0][None])
+        assert q.shape == (1, 3, 3, 1) and d.shape == (1, 1)
+        self._check(v, q[0, :, :, 0], d[0, 0])
 
 
 class TestSeedMixing:
