@@ -6,9 +6,9 @@ The boundary of the diagonal-product image of SU(n) is the closed curve
 
 For n > 2 the curve admits a polar parametrization r(theta) through the
 strictly increasing angle map theta(alpha); this module evaluates the curve,
-its derivative, the angle map (in a form free of cancellation at the cusp) and
-its inverse (five Newton steps on cbrt(theta)), the polar radius, and the
-two-parameter interior map Gamma(alpha, y) with its Jacobian.
+its derivative, the angle map with its slope (one pass from tan(alpha/2), free
+of cancellation at the cusp), its inverse (four Newton steps on cbrt(theta),
+one such pass each), the radius, and Gamma(alpha, y) with its Jacobian.
 
 All evaluators accept scalars or numpy arrays of angles.
 """
@@ -102,53 +102,48 @@ def _atan_s(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.1, series, (np.arctan(big) - big) / (big * big * big))
 
 
-def _theta(n: int, a: np.ndarray) -> np.ndarray:
-    """theta_of_alpha on angles already in [-pi, pi]."""
-    b = np.abs(a)
+def _theta_and_slope(n: int, b: np.ndarray):
+    """theta(b) and theta'(b) on magnitudes b in [0, pi], from one t = tan(b/2)."""
     t = np.tan(0.5 * b)
     c = (n - 2.0) / n
     t2 = t * t
     ct2 = 1.0 + c * t2
-    s = _atan_s(np.stack([t, 2.0 / n * t / ct2]))  # S is even: |y| will do
+    y = 2.0 / n * t / ct2  # = sin b / (n - 1 + cos b)
+    s = _atan_s(np.stack([t, y]))
     near = t2 * t * (2.0 * c / ct2 + 2.0 * s[0] - 8.0 / (n * n) * s[1] / (ct2 * ct2 * ct2))
-    far = b - n * np.arctan(np.sin(b) / (n - 1.0 + np.cos(b)))
-    return np.copysign(np.where(b > 3.0, far, near), a)
-
-
-def _theta_slope(n: int, a: np.ndarray) -> np.ndarray:
-    """theta_derivative on angles already in [-pi, pi]."""
-    s2 = np.sin(0.5 * a) ** 2
-    c2 = np.cos(0.5 * a) ** 2
-    return 2.0 * (n - 1.0) * (n - 2.0) * s2 / ((n - 2.0) ** 2 + 4.0 * (n - 1.0) * c2)
+    far = b - n * (y + y * y * y * s[1])
+    slope = 2.0 * (n - 1.0) * (n - 2.0) * t2 / ((n - 2.0) ** 2 * (1.0 + t2) + 4.0 * (n - 1.0))
+    return np.where(b > 3.0, far, near), slope
 
 
 def theta_of_alpha(n: int, alpha):
     """Polar angle of gamma(alpha): alpha - n*arctan(sin a / (n-1+cos a)).
 
     Strictly increasing odd bijection of [-pi, pi] onto itself for n >= 3.
-    For |alpha| <= 3 it is evaluated without the cancellation at the cusp
-    (theta ~ alpha^3) as 2c t^3/(1 + c t^2) + n g(y) + 2 g(t), where
-    t = tan(|alpha|/2), c = (n-2)/n, y = -2t/(n (1 + c t^2)) and
-    g(x) = arctan(x) - x = x^3 S(x^2), with t^3 factored out of all three
-    terms, so that no smaller cube underflows; the sign of alpha is copied, so
-    the map is exactly odd.  Relative error against mpmath: below 5e-14 for
-    n = 3 .. 10^6 and |alpha| <= pi wherever theta is a normal float.
+    With t = tan(|alpha|/2), c = (n-2)/n, y = 2t/(n (1 + c t^2)) (the arctan
+    argument) and g(x) = arctan(x) - x = x^3 S(x^2), it is |alpha| - n (y +
+    g(y)) beyond 3, and 2c t^3/(1 + c t^2) - n g(y) + 2 g(t) up to 3, free of
+    the cancellation at the cusp (theta ~ alpha^3), with t^3 factored out so
+    that no smaller cube underflows.  The sign of alpha is copied: the map is
+    exactly odd.  Relative error against mpmath: below 5e-14 for n = 3 .. 10^6
+    and |alpha| <= pi wherever theta is a normal float.
     """
     n = _check_n(n, 3)
     a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
-    out = _theta(n, a)
+    out = np.copysign(_theta_and_slope(n, np.abs(a))[0], a)
     return float(out[()]) if a.ndim == 0 else out
 
 
 def theta_derivative(n: int, alpha):
-    """d theta / d alpha; nonnegative, zero only at alpha = 0."""
+    """d theta / d alpha = 2(n-1)(n-2) t^2 / ((n-2)^2 (1 + t^2) + 4(n-1)),
+    t = tan(alpha/2); nonnegative, zero only at alpha = 0."""
     n = _check_n(n, 3)
     a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
-    out = _theta_slope(n, a)
+    out = _theta_and_slope(n, np.abs(a))[1]
     return float(out[()]) if a.ndim == 0 else out
 
 
-_NEWTON_STEPS = 5
+_NEWTON_STEPS = 4
 _SEED_EXACT = 1e-30  # below this |theta| the cube seed is alpha to rounding
 
 
@@ -169,10 +164,11 @@ def _invert_theta(n: int, targets: np.ndarray) -> np.ndarray:
     lo, hi = np.zeros(at.shape), np.full(at.shape, np.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            h = np.cbrt(_theta(n, x))
+            theta, slope = _theta_and_slope(n, x)
+            h = np.cbrt(theta)
             hi = np.where(h > root, x, hi)
             lo = np.where(h > root, lo, x)
-            cand = np.where(h == root, x, x - 3.0 * h * h * (h - root) / _theta_slope(n, x))
+            cand = np.where(h == root, x, x - 3.0 * h * h * (h - root) / slope)
             x = np.where((cand >= lo) & (cand <= hi), cand, 0.5 * (lo + hi))
     return np.copysign(np.where(at < _SEED_EXACT, seed, x), t)
 
@@ -181,10 +177,10 @@ def alpha_of_theta(n: int, theta):
     """Inverse of the angle map: the alpha in [-pi, pi] with theta(alpha) = theta.
 
     ``theta`` is a finite scalar or array; it is wrapped into [-pi, pi] first.
-    Five Newton steps on the cube root of the angle map reach its rounding
-    floor, so there is no tolerance to choose: the relative error against
-    mpmath is below 2e-14 for n = 3 .. 10^6, from subnormal |theta| up to pi,
-    and the map is exactly odd.
+    Four Newton steps on the cube root of the angle map, one kernel pass each
+    for theta and its slope, reach its rounding floor, so there is no tolerance
+    to choose: the relative error against mpmath is below 2e-14 for
+    n = 3 .. 10^6, from subnormal |theta| up to pi, and the map is exactly odd.
     """
     n = _check_n(n, 3)
     t = np.asarray(wrap_angle(_check_finite("theta", theta)), np.float64)
@@ -208,8 +204,8 @@ def _radius_from_alpha(n: int, alpha):
 def radius_of_theta(n: int, theta) -> PolarPoint:
     """Polar radius of the boundary at angle ``theta`` (n >= 3)."""
     n = _check_n(n, 3)
-    a = alpha_of_theta(n, theta)
-    return PolarPoint(theta=float(wrap_angle(theta)), r=float(_radius_from_alpha(n, a)))
+    t = wrap_angle(_check_finite("theta", theta))
+    return PolarPoint(theta=float(t), r=float(_radius_many(n, np.reshape(t, 1))[0]))
 
 
 def _radius_many(n: int, thetas: np.ndarray) -> np.ndarray:
@@ -217,16 +213,21 @@ def _radius_many(n: int, thetas: np.ndarray) -> np.ndarray:
     return _radius_from_alpha(n, alphas)
 
 
+def _interior_args(n: int, alpha, y):
+    """n, alpha wrapped into [-pi, pi], and y, checked to lie in [1, n-1]."""
+    n = _check_n(n, 3)
+    yy = np.asarray(_check_finite("y", y), np.float64)
+    if np.any(yy < 1.0 - 1e-9) or np.any(yy > n - 1.0 + 1e-9):
+        raise ValueError(f"second parameter must lie in [1, {n - 1}]")
+    return n, np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64), yy
+
+
 def big_gamma(n: int, alpha, y):
     """Two-parameter interior map: e^{i y a} (1 - (1 - e^{-i a}) y / n)^n.
 
     Reduces to the boundary curve at y = 1; y must lie in [1, n-1].
     """
-    n = _check_n(n, 3)
-    yy = np.asarray(_check_finite("y", y), np.float64)
-    if np.any(yy < 1.0 - 1e-9) or np.any(yy > n - 1.0 + 1e-9):
-        raise ValueError(f"second parameter must lie in [1, {n - 1}]")
-    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    n, a, yy = _interior_args(n, alpha, y)
     out = np.exp(1j * yy * a) * _ipow(1.0 - (1.0 - np.exp(-1j * a)) * yy / n, n)
     return complex(out[()]) if out.ndim == 0 else out
 
@@ -234,12 +235,10 @@ def big_gamma(n: int, alpha, y):
 def jacobian_big_gamma(n: int, alpha, y):
     """Closed-form Jacobian of (alpha, y) -> (Re Gamma, Im Gamma):
     |w|^{2n-2} y (1 - y/n) (2 - 2 cos a - a sin a), w = 1 - (1 - e^{-i a}) y / n,
-    as both partial derivatives share the factor e^{i y a} w^{n-1}.  Positive
-    on the open rectangle (0, pi) x (1, n-1) away from (pi, n/2).
+    as both partial derivatives share the factor e^{i y a} w^{n-1}; y must lie
+    in [1, n-1].  Positive on (0, pi) x (1, n-1) away from (pi, n/2).
     """
-    n = _check_n(n, 3)
-    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
-    yy = np.asarray(_check_finite("y", y), np.float64)
+    n, a, yy = _interior_args(n, alpha, y)
     w = 1.0 - (1.0 - np.exp(-1j * a)) * yy / n
     mod2 = w.real**2 + w.imag**2
     angular = 4.0 * np.sin(0.5 * a) ** 2 - a * np.sin(a)

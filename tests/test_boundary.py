@@ -52,6 +52,14 @@ def alpha_mp(n, theta):
         return +mpmath.findroot(f, (x0, x0 * (1 - mpmath.mpf(10) ** -3)))
 
 
+def slope_mp(n, alpha):
+    """theta'(alpha) = 2(n-1)(n-2) sin^2(a/2) / ((n-2)^2 + 4(n-1) cos^2(a/2)) in mpmath."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(alpha) / 2
+        return +(2 * (n - 1) * (n - 2) * mpmath.sin(h) ** 2
+                 / ((n - 2) ** 2 + 4 * (n - 1) * mpmath.cos(h) ** 2))
+
+
 def rel_error(got, want):
     return float(abs(mpmath.mpf(got) - want) / abs(want))
 
@@ -246,7 +254,8 @@ def smallest_normal_alpha(n):
 class TestAgainstMpmath:
     """theta(alpha) to a relative error of 5e-14 against mpmath over
     n = 3 .. 10^6, from the smallest |alpha| whose theta is a normal float up
-    to the half-turn; alpha(theta) to 1e-13 from |theta| = 1e-20."""
+    to the half-turn; alpha(theta) to 1e-13 from |theta| = 1e-20; theta'(alpha)
+    to 2e-15 from |alpha| = 1e-8."""
 
     def test_theta_near_cusp_spot(self):
         # regression: alpha - n arctan(...) cancelled to a relative error of
@@ -279,10 +288,27 @@ class TestAgainstMpmath:
     @example(10**6, 1.0, 1e-20)
     @example(3, -1.0, np.pi)
     @example(5, -1.0, 2.5)
+    # where four and five Newton steps differ most (of 2.5e5 targets per n)
+    @example(3, 1.0, 5.997313163288937e-4)
+    @example(4, -1.0, 5.163594684145989e-4)
     @settings(max_examples=150, deadline=None)
     def test_alpha_of_theta_property(self, n, sign, mag):
         theta = sign * mag
         assert rel_error(alpha_of_theta(n, theta), alpha_mp(n, theta)) <= 1e-13
+
+    # the kernel's slope is in t = tan(|alpha|/2); the reference keeps sin and cos
+    @given(SIZES, SIGNS, st.one_of(
+        st.floats(-8.0, np.log10(np.pi)).map(lambda e: 10.0**e),
+        st.floats(-15.0, 0.0).map(lambda e: np.pi - 10.0**e),
+    ))
+    @example(3, 1.0, np.pi)
+    @example(10**6, -1.0, np.pi)
+    @example(4, 1.0, 3.0)
+    @example(4, 1.0, 1e-8)
+    @settings(max_examples=150, deadline=None)
+    def test_theta_derivative_property(self, n, sign, mag):
+        alpha = sign * mag
+        assert rel_error(theta_derivative(n, alpha), slope_mp(n, alpha)) <= 2e-15
 
 
 class TestRadius:
@@ -298,6 +324,19 @@ class TestRadius:
         p = radius_of_theta(5, 1.2)
         assert abs(p.r - abs(gamma(5, alpha_of_theta(5, 1.2)))) <= 1e-12
         assert p.theta == 1.2
+
+    def test_validates_and_wraps_once(self, monkeypatch):
+        # regression: radius_of_theta checked and wrapped theta in alpha_of_theta
+        # and then wrapped it again for PolarPoint.theta
+        calls = []
+        unwrapped = boundary.wrap_angle
+        monkeypatch.setattr(boundary, "wrap_angle", lambda x: calls.append(x) or unwrapped(x))
+        for n, theta in ((3, 0.4), (5, -2.9), (7, 7.0), (12, np.pi)):
+            p = radius_of_theta(n, theta)
+            assert len(calls) == 1
+            calls.clear()
+            assert p.theta == unwrapped(theta)
+            assert p.r == boundary._radius_many(n, np.array([p.theta]))[0]
 
     def test_consistency_grid(self):
         for n in (3, 7, 12):
@@ -342,6 +381,18 @@ class TestBigGamma:
 class TestJacobian:
     def test_zero_at_origin_edge(self):
         assert jacobian_big_gamma(5, 0.0, 2.0) == 0
+
+    # regression: jacobian_big_gamma(4, 0.5, 10.0) returned -0.542 where
+    # big_gamma raised; both now share one check of y
+    @given(st.integers(3, 12), st.floats(-np.pi, np.pi), SIGNS, st.floats(1e-6, 1e6))
+    @example(4, 0.5, 1.0, 7.0)  # y = 10
+    @example(4, 0.5, -1.0, 0.5)  # y = 0.5
+    @settings(max_examples=100, deadline=None)
+    def test_y_outside_the_range_is_rejected_by_both(self, n, alpha, side, gap):
+        y = n - 1.0 + gap if side > 0 else 1.0 - gap
+        for f in (big_gamma, jacobian_big_gamma):
+            with pytest.raises(ValueError, match=rf"^second parameter must lie in \[1, {n - 1}\]$"):
+                f(n, alpha, y)
 
     def test_zero_at_vanishing_point(self):
         assert jacobian_big_gamma(4, np.pi, 2.0) == pytest.approx(0.0, abs=1e-14)
