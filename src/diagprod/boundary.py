@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _check_n
+from .matrices import _check_finite, _check_n
 
 __all__ = [
     "wrap_angle",
@@ -35,15 +35,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-
-def _check_finite(name: str, x):
-    """Return ``x``; raise ValueError naming its first non-finite entry."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        bad = np.asarray(x)[~finite]
-        raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
-    return x
 
 
 def wrap_angle(x):

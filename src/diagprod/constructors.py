@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import alpha_of_theta, wrap_angle, _check_finite, _ipow
-from .matrices import diag_product, is_special_unitary, _check_n, _check_tol, _square, _MASK64
+from .boundary import alpha_of_theta, wrap_angle, _ipow
+from .matrices import diag_product, is_special_unitary, _MASK64
+from .matrices import _check_finite, _check_n, _check_tol, _square
 
 __all__ = [
     "ExtremalDecomposition",
@@ -226,8 +227,8 @@ def _build_u_z_many(n: int, zs: np.ndarray) -> np.ndarray:
 def decompose_su2(z, w) -> ExtremalDecomposition:
     """Decompose the SU(2) matrix [[z, -conj(w)], [w, conj(z)]] into extremal
     data, splitting on w = 0, z = 0, and the generic case."""
-    z = complex(z)
-    w = complex(w)
+    z = _check_finite("z", complex(z))
+    w = _check_finite("w", complex(w))
     if abs(abs(z) ** 2 + abs(w) ** 2 - 1.0) > 1e-12:
         raise ValueError("need |z|^2 + |w|^2 = 1")
     if w == 0:
@@ -306,19 +307,15 @@ def _closed_form_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition |
     if alpha == -math.pi:
         alpha = math.pi  # the half-turn is reported as +pi
     psi = np.angle(1.0 - (1.0 - np.exp(-1j * alpha)) / n)
-    phases = _wrap_each(np.angle(np.diagonal(u)) - psi)
+    phases = wrap_angle(np.angle(np.diagonal(u)) - psi)
     phases[0] += float(wrap_angle(alpha - phases.sum()))
     return ExtremalDecomposition(alpha, v, phases)
-
-
-def _wrap_each(phases: np.ndarray) -> np.ndarray:
-    return np.asarray(wrap_angle(np.asarray(phases, np.float64)))
 
 
 def _degenerate_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition:
     # diagonal product at the cusp value 1: the reflection term vanishes and
     # any equal-modulus vector is admissible
-    phases = _wrap_each(np.angle(np.diagonal(u)))
+    phases = wrap_angle(np.angle(np.diagonal(u)))
     phases[0] += float(wrap_angle(-phases.sum()))
     v = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     return ExtremalDecomposition(0.0, v, phases)

@@ -132,6 +132,15 @@ def _check_n(value, minimum: int | None = None, name: str = "matrix size n") -> 
     return int(value)
 
 
+def _check_finite(name: str, x):
+    """Return ``x``; raise ValueError naming its first non-finite entry."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.asarray(x)[~finite]
+        raise ValueError(f"{name} must be finite, got {bad.flat[0].item()!r}")
+    return x
+
+
 def _diag_products(mats: np.ndarray) -> np.ndarray:
     """Product of the diagonal entries of each matrix of a stack."""
     return np.multiply.reduce(mats.diagonal(0, -2, -1), axis=-1)
@@ -199,10 +208,10 @@ def exp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
 
     Diagonalizes the Hermitian matrix iA and exponentiates its eigenvalues, so
     the result is unitary up to roundoff.  Rejects input whose max-entry
-    deviation from skew-Hermiticity exceeds ``tol``.
+    deviation from skew-Hermiticity exceeds ``tol``, or any non-finite entry.
     """
     tol = _check_tol(tol)
-    m = _square(a).astype(np.complex128, copy=False)
+    m = _check_finite("a", _square(a)).astype(np.complex128, copy=False)
     if np.abs(m + m.conj().T).max() > tol:
         raise ValueError("matrix is not skew-Hermitian within tolerance")
     w, v = np.linalg.eigh(1j * m)

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import gamma, _check_finite, _radius_many
-from .matrices import _check_n, _check_tol
+from .boundary import gamma, _radius_many
+from .matrices import _check_finite, _check_n, _check_tol
 
 __all__ = [
     "Membership",

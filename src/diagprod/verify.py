@@ -23,13 +23,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import radius_of_theta, wrap_angle, _check_finite, _invert_theta
+from .boundary import radius_of_theta, wrap_angle, _invert_theta
 from .boundary import _ipow, _radius_from_alpha
 from .constructors import omega_max, _build_u_z_many, _homotopy_matrix, _homotopy_product
 from .matrices import (
     derive_seed,
     diag_product,
     is_special_unitary,
+    _check_finite,
     _check_n,
     _check_tol,
     _diag_products,
@@ -354,7 +355,7 @@ def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
     return u
 
 
-def _interior_points(n: int, count: int, seed: int, tol: float = 1e-9) -> list[complex]:
+def _interior_points(n: int, count: int, seed: int) -> list[complex]:
     """Rejection-sample strictly interior targets from the unit disk.
 
     Draws come in blocks of (x, y) pairs, the same stream as one pair per
@@ -369,7 +370,7 @@ def _interior_points(n: int, count: int, seed: int, tol: float = 1e-9) -> list[c
     while len(points) < count:
         zs = rng.uniform(-1.0, 1.0, (block, 2)).view(np.complex128)[:, 0]
         zs = zs[np.abs(zs) <= 1.0]
-        codes, _ = _classify_su_many(n, zs, tol)
+        codes, _ = _classify_su_many(n, zs, 1e-9)
         points.extend(complex(z) for z in zs[codes == 1])
         missing, accepted = count - len(points), max(len(points), 1)
         block = min(_DRAW_BLOCK + 5 * missing * drawn // (4 * accepted), 1 << 16)
@@ -679,8 +680,7 @@ def verify_so_interval(
     signs = np.ones(n)
     signs[0] = signs[1] = -1.0
     upper = float(np.prod(signs))
-    rng = np.random.default_rng(derive_seed(seed, 0x50BA51C))
-    u_vec = rng.choice([-1.0, 1.0], n) / math.sqrt(n)
+    u_vec = np.full(n, 1.0 / math.sqrt(n))
     sigma = np.ones(n)
     sigma[0] = -1.0
     reflect = (np.eye(n) - 2.0 * np.outer(u_vec, u_vec)) * sigma[None, :]

@@ -87,6 +87,23 @@ class TestBuildExtremal:
         with pytest.raises(ValueError, match="modulus"):
             build_extremal(d)
 
+    def test_empty_vector_is_reported_alone(self):
+        d = ExtremalDecomposition(0.5, np.array([]), np.array([0.5]))
+        assert d.violations() == ["v must have at least one component"]
+
+    def test_length_mismatch_is_reported(self):
+        d = ExtremalDecomposition(0.5, np.full(3, 1 / np.sqrt(3), complex), np.array([0.5, 0.0]))
+        assert d.violations() == ["v has 3 components but diag_phases has 2"]
+        with pytest.raises(ValueError, match="diag_phases has 2"):
+            build_extremal(d)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phases_are_reported(self, bad):
+        d = ExtremalDecomposition(0.5, np.full(2, 1 / np.sqrt(2), complex), np.array([0.5, bad]))
+        assert d.violations() == ["diagonal phases must be finite"]
+        with pytest.raises(ValueError, match="phases must be finite"):
+            build_extremal(d)
+
     def test_rejects_phase_mismatch(self):
         d = ExtremalDecomposition(
             1.0, np.full(2, 1 / np.sqrt(2), complex), np.array([0.0, 0.0])
@@ -314,6 +331,19 @@ class TestDecomposeSU2:
         with pytest.raises(ValueError):
             decompose_su2(1.0, 1.0)
 
+    # regression: decompose_su2(nan, 0) returned NaN diagonal phases, and
+    # decompose_su2(0.6, nan) alpha = nan
+    @given(
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        arg=st.sampled_from(["z", "w"]),
+        imaginary=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rejects_non_finite(self, bad, arg, imaginary):
+        args = {"z": 0.6, "w": 0.8, arg: complex(0.0, bad) if imaginary else bad}
+        with pytest.raises(ValueError, match=f"^{arg} must be finite, got "):
+            decompose_su2(**args)
+
 
 class TestRecognizeExtremal:
     def test_round_trip(self):
@@ -371,6 +401,21 @@ class TestRecognizeExtremal:
         u = build_extremal(d)
         rec = recognize_extremal(u, 1e-9)
         np.testing.assert_allclose(build_extremal(rec), u, atol=1e-9)
+
+    def test_n2_unit_product_gives_degenerate_data(self):
+        u = np.diag(np.exp([0.3j, -0.3j]))
+        rec = recognize_extremal(u, 1e-9)
+        assert rec.alpha == 0.0
+        np.testing.assert_array_equal(rec.v, np.full(2, 1 / np.sqrt(2)))
+        np.testing.assert_allclose(rec.diag_phases, [0.3, -0.3], rtol=1e-15)
+        np.testing.assert_allclose(build_extremal(rec), u, atol=1e-15)
+
+    def test_zero_diagonal_entry_is_not_recognized(self):
+        # the off-diagonal ratios divide by the diagonal, so there is no
+        # closed form; the cyclic permutation is in SU(3) with product 0
+        cyclic = np.roll(np.eye(3), 1, axis=0)
+        assert is_special_unitary(cyclic, 1e-12)
+        assert recognize_extremal(cyclic, 1e-9) is None
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

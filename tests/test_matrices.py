@@ -508,6 +508,15 @@ class TestExpSkewHermitian:
         with pytest.raises(ValueError):
             exp_skew_hermitian(np.eye(2))
 
+    # regression: a NaN matrix came back all NaN with two RuntimeWarnings
+    @given(bad=_NON_FINITE, n=st.integers(1, 5), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rejects_non_finite(self, bad, n, data):
+        a = np.zeros((n, n))
+        a[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = bad
+        with pytest.raises(ValueError, match=f"^a must be finite, got {bad!r}$"):
+            exp_skew_hermitian(a)
+
 
 class TestHaarSampling:
     def test_group_predicates(self):
