@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import radius_of_theta, wrap_angle, _invert_theta
-from .boundary import _ipow, _radius_from_alpha
+from .boundary import wrap_angle, _invert_theta
+from .boundary import _ipow, _radius_from_alpha, _radius_many
 from .constructors import omega_max, _build_u_z_many, _homotopy_matrix, _homotopy_product
 from .matrices import (
     derive_seed,
@@ -401,9 +401,9 @@ def verify_preimage(
 
 
 _STEP_GRID = 0.5 ** np.arange(8)  # one call tries the steps s, s/2, ..., s/128
-_ROUNDOFF = 1e-15  # |Im(w p)| at which a matrix counts as on the level set
+_ROUNDOFF = 1e-15  # |arg(w p)| at which a matrix counts as on the level set
 _STEP_INIT = 0.5  # the longest step of a line search
-_TOL_VALUE = 1e-12  # relative gain at or below which a kept move counts as stalled
+_TOL_VALUE = 1e-12  # gain in log|p| at or below which a kept move ends its restart
 _TOL_CONSTRAINT = 1e-6  # |Im(w p)| above which a restart's end counts as infeasible
 
 
@@ -443,92 +443,84 @@ def _moved_products(v: np.ndarray, lam: np.ndarray, b: np.ndarray, s: np.ndarray
     return np.multiply.reduce(diag @ np.exp(-1j * lam[:, :, None] * s[:, None, :]), axis=1)
 
 
-def _reunitarize(u: np.ndarray) -> np.ndarray:
-    # one Newton-Schulz step; squares the (tiny) orthonormality defect
-    return u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+def _log_tangent(u: np.ndarray, w: complex, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The generators of ``_tangent`` turned by 1/t = x + i y, t = w p: the
+    gradients of log|w p| and arg(w p), a_f' = x a_f - y a_g and
+    a_g' = x a_g + y a_f.  Their rates are those of ``_tangent`` over |p|."""
+    a_f, a_g = _tangent(u, w)
+    x, y = (1.0 / t).real[:, None, None], (1.0 / t).imag[:, None, None]
+    return x * a_f - y * a_g, x * a_g + y * a_f
 
 
 def _retract(u: np.ndarray, w: complex, t: np.ndarray, steps: int):
     """(matrices, w p), given t = w p, after up to ``steps`` Newton steps on
-    Im(w p) = 0: exp(sigma a_g) u, sigma = -Im(w p) / (<a_g, a_g> / 2) 2^-k
-    with k = 0..7 giving the least |Im(w p)|, kept only where that is lower
-    (a_g vanishes at p = 1) and taken only where it exceeds ``_ROUNDOFF``."""
+    arg(w p) = 0: exp(sigma a_g') u, sigma = -arg(w p) / (<a_g', a_g'> / 2) 2^-k
+    with k = 0..7 giving the least |arg(w p)|, kept only where that is lower
+    (a_g' vanishes at p = 1) and taken only where it exceeds ``_ROUNDOFF``."""
     for _ in range(steps):
-        need = np.abs(t.imag) > _ROUNDOFF
+        arg = np.angle(t)
+        need = np.abs(arg) > _ROUNDOFF
         if not need.any():
             break
-        a_g = _tangent(u, w)[1]
-        sigma = -t.imag / np.maximum(0.5 * _inner(a_g, a_g), 1e-300)
+        a_g = _log_tangent(u, w, t)[1]
+        sigma = -arg / np.maximum(0.5 * _inner(a_g, a_g), 1e-300)
         trial = sigma[:, None] * _STEP_GRID
         lam, v = np.linalg.eigh(1j * a_g)
         b = v.conj().swapaxes(-1, -2) @ u
-        pick = np.abs((w * _moved_products(v, lam, b, trial)).imag).argmin(axis=1)
+        pick = np.abs(np.angle(w * _moved_products(v, lam, b, trial))).argmin(axis=1)
         u_try = _moved(v, lam, b, np.take_along_axis(trial, pick[:, None], 1)[:, 0])
         t_try = w * _diag_products(u_try)
-        keep = need & (np.abs(t_try.imag) < np.abs(t.imag))
+        keep = need & (np.abs(np.angle(t_try)) < np.abs(arg))
         u, t = np.where(keep[:, None, None], u_try, u), np.where(keep, t_try, t)
     return u, t
 
 
 def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.ndarray:
-    """Ascent of Re(w p) on the level set Im(w p) = 0, p the diagonal product,
+    """Ascent of log|p| on the level set arg(w p) = 0, p the diagonal product,
     for all matrices of the stack u in lockstep (stopped ones are masked),
-    each first moved onto it by six ``_retract`` steps.  a = a_f - c a_g,
-    c = <a_f, a_g> / <a_g, a_g>, keeps Im(w p) fixed to first order and is
-    the gradient of the merit Re(w p) - c Im(w p); d = a + beta d_prev, beta
-    the Polak-Ribiere+ max(0, <a, a - a_prev>) / <a_prev, a_prev>, or d = a
-    where <a, d> <= 0.  exp(s d / |d|) u, |d| = sqrt(<d, d> / 2), is tried at
-    s = min(4 step, _STEP_INIT) 2^-k, k = 0..7, in one call, the best that
-    raises the merit by 1e-4 s <a, d> / (2 |d|) taken (Armijo), else s / 256
-    down to 1e-12.  The move is kept only if two ``_retract`` steps bring
-    |Im(w p)| to max(``_ROUNDOFF``, 1/100 of it before them, 1/2 of it before
-    the move), else u stays and its step is divided by 16.  That holds the
-    path off p = 1 (the diagonal matrices, where a_g vanishes), which a bound
-    of ``_TOL_CONSTRAINT`` does not for |theta| near it.  Only kept moves count
-    toward the stall rule.  The ends are reunitarized, then retracted."""
+    each first moved onto it by six ``_retract`` steps.  With (a_f', a_g')
+    from ``_log_tangent``, a = a_f' - c a_g', c = <a_f', a_g'> / <a_g', a_g'>,
+    keeps arg(w p) fixed to first order and is the gradient of the merit
+    log|p| - c arg(w p); every rate is relative to |p|, so a start with
+    |p| near 0 (large n) moves as one near 1 does.  exp(s a / |a|) u,
+    |a| = sqrt(<a, a> / 2), is tried at s 2^-k, k = 0..7, in one call, and the
+    best that raises the merit by 1e-4 s |a| is taken (Armijo); where none
+    does, the next iteration starts from s / 256, and the restart stops below
+    1e-12.  The move is kept only if two ``_retract`` steps bring |arg(w p)|
+    to max(``_ROUNDOFF``, 1/100 of it before them, 1/2 of it before the
+    move), else u stays and the next s is a quarter of the step tried.  That
+    holds the path off p = 1 (the diagonal matrices, where a_g' vanishes),
+    which a bound of ``_TOL_CONSTRAINT`` does not for |theta| near it.  After
+    a kept move the next s is min(4 s, ``_STEP_INIT``), and a kept move that
+    gains at most ``_TOL_VALUE`` in log|p| stops its restart.  The ends are
+    retracted twice more."""
     u, t = _retract(u, w, w * _diag_products(u), 6)
-    step = np.full(len(u), _STEP_INIT)
-    stall, live, rows = np.zeros(len(u), np.int64), np.ones(len(u), bool), np.arange(len(u))
-    d, a_prev, aa_prev = np.zeros_like(u), np.zeros_like(u), np.inf  # beta = 0 at first
+    s, live, rows = np.full(len(u), _STEP_INIT), np.ones(len(u), bool), np.arange(len(u))
     for _ in range(cfg.max_iterations):
-        a_f, a_g = _tangent(u, w)
+        a_f, a_g = _log_tangent(u, w, t)
         c = _inner(a_f, a_g) / np.maximum(_inner(a_g, a_g), 1e-300)
         a = a_f - c[:, None, None] * a_g
         aa = _inner(a, a)
-        live &= aa >= 2e-22  # a rate of at least 1e-11
+        live &= (aa >= 2e-22) & (s >= 1e-12)  # a rate of at least 1e-11, a step of 1e-12
         if not live.any():
             break
-        d = a + (np.maximum(aa - _inner(a, a_prev), 0.0) / aa_prev)[:, None, None] * d
-        ad = _inner(a, d)
-        d, ad = np.where((ad > 0.0)[:, None, None], d, a), np.where(ad > 0.0, ad, aa)
-        dnorm = np.where(live, np.sqrt(0.5 * _inner(d, d)), 1.0)
-        a_prev, aa_prev = a, np.where(live, aa, np.inf)
-        lam, v = np.linalg.eigh(1j * d / dnorm[:, None, None])
+        norm = np.where(live, np.sqrt(0.5 * aa), 1.0)
+        lam, v = np.linalg.eigh(1j * a / norm[:, None, None])
         b = v.conj().swapaxes(-1, -2) @ u
-        value, s = t.real - c * t.imag, np.minimum(4.0 * step, _STEP_INIT)
-        found, pending, rate = value, live, 1e-4 * ad / (2.0 * dnorm)
-        while pending.any():
-            trial = s[:, None] * _STEP_GRID
-            t_try = w * _moved_products(v, lam, b, trial)
-            v_try = t_try.real - c[:, None] * t_try.imag
-            ok = (v_try > value[:, None] + rate[:, None] * trial) & (trial >= 1e-12)
-            ok &= pending[:, None]
-            hit, best = ok.any(axis=1), np.where(ok, v_try, -np.inf).argmax(axis=1)
-            found = np.where(hit, v_try[rows, best], found)
-            s = np.where(hit, trial[rows, best], np.where(pending, s / 256.0, s))
-            pending = pending & ~hit & (s >= 1e-12)
-        live &= found > value
-        u_new = _moved(v, lam, b, s)
+        trial = s[:, None] * _STEP_GRID
+        t_try = w * _moved_products(v, lam, b, trial)
+        value = np.log(np.abs(t)) - c * np.angle(t)
+        v_try = np.log(np.abs(t_try)) - c[:, None] * np.angle(t_try)
+        ok = live[:, None] & (v_try > value[:, None] + 1e-4 * norm[:, None] * trial)
+        hit, step = ok.any(axis=1), trial[rows, np.where(ok, v_try, -np.inf).argmax(axis=1)]
+        u_new = _moved(v, lam, b, step)
         t_new = w * _diag_products(u_new)
         u_new, t_ret = _retract(u_new, w, t_new, 2)
-        bound = np.maximum(_ROUNDOFF, np.maximum(0.01 * np.abs(t_new.imag), 0.5 * np.abs(t.imag)))
-        kept = live & (np.abs(t_ret.imag) <= bound)
-        slow = t_ret.real - t.real <= _TOL_VALUE * (1.0 + np.abs(t_ret.real))
+        bound = np.maximum(0.01 * np.abs(np.angle(t_new)), 0.5 * np.abs(np.angle(t)))
+        kept = hit & (np.abs(np.angle(t_ret)) <= np.maximum(bound, _ROUNDOFF))
+        live &= ~kept | (np.log(np.abs(t_ret / t)) > _TOL_VALUE)
         u, t = np.where(kept[:, None, None], u_new, u), np.where(kept, t_ret, t)
-        step = np.where(kept, s, np.where(live, s / 16.0, step))
-        stall = np.where(kept, np.where(slow, stall + 1, 0), stall)
-        live &= stall < 3
-    u = _reunitarize(u)  # squares the sum of the moves' rounding defects
+        s = np.where(kept, np.minimum(4.0 * step, _STEP_INIT), np.where(hit, step / 4.0, s / 256.0))
     return _retract(u, w, w * _diag_products(u), 2)[0]
 
 
@@ -542,11 +534,13 @@ def constrained_max_numeric(
     to Im(e^{-i theta} diag product) = 0, and compare with the analytic
     boundary radius at ``theta``.
 
-    All restarts run one lockstep ascent that keeps each iterate on the
-    level set Im(e^{-i theta} diag product) = 0: Polak-Ribiere+ conjugate
-    gradient on the projection of the exact gradient, the best of eight
-    steps per line search, and guarded Newton steps back onto the level set
-    after each move.  Restarts that end with the constraint residual above
+    All restarts run one lockstep ascent of log|diag product| that keeps
+    each iterate on the level set arg(e^{-i theta} diag product) = 0:
+    projected steepest ascent on the exact gradient, the best of eight steps
+    per iteration, and guarded Newton steps back onto the level set after
+    each move.  Working with log(e^{-i theta} diag product) makes every rate
+    relative to |diag product|, which is near 1e-16 at a Haar start for
+    large n.  Restarts that end with |Im(e^{-i theta} diag product)| above
     1e-6 count as failures; the values, the best matrix and
     ``worst_margin`` = target - best feasible value (negative means the bound
     was exceeded) are read at the ends of the ascents.
@@ -555,7 +549,7 @@ def constrained_max_numeric(
     cfg = (config or OptimizerConfig()).validate()
     tally = _Tally()
     th = float(wrap_angle(_check_finite("theta", theta)))
-    target = radius_of_theta(n, th).r
+    target = float(_radius_many(n, np.array([th]))[0])
     w = complex(np.exp(-1j * th))
     u = _level_set_ascent(_haar_special_unitary_batch(n, seed, cfg.restarts), w, cfg)
     t = w * _diag_products(u)

@@ -353,6 +353,13 @@ class TestVerifyCommand:
             main(["verify", "--kind", "bogus", "--n", "3"])
         assert exc.value.code == 2
 
+    def test_unwritable_report_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        rc = main(["verify", "--kind", "so", "--n", "2", "--trials", "50", "--sweep", "100", "--out", str(out)])
+        assert rc == 3
+        assert "error: cannot write" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMatrixSizeFlag:
     # n is checked by the library alone, whose message names it

@@ -404,11 +404,12 @@ _COS_H = math.cos(_FD_STEP)
 _SIN_H = math.sin(_FD_STEP)
 
 
-def fd_gradient(u, w, pairs):
-    """Reference: central finite differences of w p, p the diagonal product,
-    along the rotation and imaginary mixing generators of each pair (the
-    real parts are those of Re(w p), the imaginary parts those of Im(w p));
-    each move touches two rows, so only two diagonal entries change."""
+def fd_gradient(u, w, pairs, f=lambda z: z):
+    """Reference: central finite differences of f(w p), p the diagonal
+    product, along the rotation and imaginary mixing generators of each pair
+    (for the identity f, the real parts are those of Re(w p), the imaginary
+    parts those of Im(w p)); each move touches two rows, so only two diagonal
+    entries change."""
     d = np.diagonal(u)
     grad = np.empty(2 * len(pairs), np.complex128)
     for idx, (j, k) in enumerate(pairs):
@@ -421,7 +422,7 @@ def fd_gradient(u, w, pairs):
         # rotation generator
         p_plus = rest * (_COS_H * ujj - _SIN_H * ukj) * (_SIN_H * ujk + _COS_H * ukk)
         p_minus = rest * (_COS_H * ujj + _SIN_H * ukj) * (-_SIN_H * ujk + _COS_H * ukk)
-        grad[2 * idx] = w * (p_plus - p_minus) / (2.0 * _FD_STEP)
+        grad[2 * idx] = (f(w * p_plus) - f(w * p_minus)) / (2.0 * _FD_STEP)
         # imaginary mixing generator
         p_plus = rest * (_COS_H * ujj + 1j * _SIN_H * ukj) * (
             1j * _SIN_H * ujk + _COS_H * ukk
@@ -429,7 +430,7 @@ def fd_gradient(u, w, pairs):
         p_minus = rest * (_COS_H * ujj - 1j * _SIN_H * ukj) * (
             -1j * _SIN_H * ujk + _COS_H * ukk
         )
-        grad[2 * idx + 1] = w * (p_plus - p_minus) / (2.0 * _FD_STEP)
+        grad[2 * idx + 1] = (f(w * p_plus) - f(w * p_minus)) / (2.0 * _FD_STEP)
     return grad
 
 
@@ -441,12 +442,16 @@ class TestExactGradient:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_central_differences(self, n, seed, theta):
-        # a_f is the gradient of Re(w p), a_g that of Im(w p)
+        # a_f is the gradient of Re(w p), a_g that of Im(w p); the log
+        # tangent's are those of log|w p| and arg(w p), differenced as
+        # log(w p / t) with t = w p at u, which stays off the branch cut
         u = haar_special_unitary(n, seed)
         w = complex(np.exp(-1j * theta))
+        t = w * diag_product(u)
         pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-        fd = fd_gradient(u, w, pairs)
-        for a, want in zip(verify_module._tangent(u[None], w), (fd.real, fd.imag)):
+        fd, fd_log = fd_gradient(u, w, pairs), fd_gradient(u, w, pairs, lambda z: np.log(z / t))
+        gens = (*verify_module._tangent(u[None], w), *verify_module._log_tangent(u[None], w, np.array([t])))
+        for a, want in zip(gens, (fd.real, fd.imag, fd_log.real, fd_log.imag)):
             exact = np.array([g for j, k in pairs for g in (-a[0, j, k].real, a[0, j, k].imag)])
             assert np.abs(exact - want).max() <= 1e-6 * (1.0 + np.linalg.norm(want))
             rate = math.sqrt(0.5 * verify_module._inner(a, a)[0])
@@ -541,16 +546,32 @@ class TestConstrainedMaxDomain:
         self._assert_c07_bounds(n, sign * magnitude, seed)
 
     @pytest.mark.parametrize(
-        "theta, seed",
+        "n, theta, seed",
         [
             # all 8 restarts ended infeasible and the best overshot by 1.07e-2
-            (-2.15e-4, 20260808),
+            (3, -2.15e-4, 20260808),
             # 3 of 8 restarts feasible, the best 0.203 below the maximum
-            (2.15e-4, 0),
+            (3, 2.15e-4, 0),
+            # the Haar starts have |p| near 1e-16 and the ascent on Re(w p)
+            # did not move them: the best was the whole maximum (0.42, 0.98) below
+            (20, 0.4, 0),
+            (40, 1e-3, 0),
         ],
     )
-    def test_c07_bounds_at_reported_cusp_cases(self, theta, seed):
-        assert abs(self._assert_c07_bounds(3, theta, seed)) <= 1e-12
+    def test_c07_bounds_at_reported_cusp_cases(self, n, theta, seed):
+        assert abs(self._assert_c07_bounds(n, theta, seed)) <= 1e-12
+
+    # regression: every rate of the ascent on Re(w p) was absolute, so at
+    # large n, where a Haar start has |p| near 1e-16, no restart moved
+    @given(
+        st.integers(9, 40),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(math.log(1e-6), math.log(np.pi)).map(math.exp),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_c07_bounds_at_large_n(self, n, sign, magnitude, seed):
+        self._assert_c07_bounds(n, sign * magnitude, seed)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi])
