@@ -39,7 +39,13 @@ _TWO_PI = 2.0 * np.pi
 
 def wrap_angle(x):
     """Reduce angles to (-pi, pi] by an exact multiple of the float 2 pi, so every
-    finite angle lands in range; values already in [-pi, pi] are unchanged."""
+    finite angle lands in range; values already in [-pi, pi] are unchanged.
+    Raises ValueError naming the first NaN or infinite angle."""
+    return _wrap_angle(_check_finite("angle", x))
+
+
+def _wrap_angle(x):
+    """The core of :func:`wrap_angle`, for angles already checked finite."""
     a = np.asarray(x, np.float64)
     out = np.fmod(a, _TWO_PI)  # exact, so no rounding error grows with |a|
     out -= _TWO_PI * np.round(out / _TWO_PI)  # exact; |out / 2pi| <= 1/2 rounds to 0
@@ -63,7 +69,7 @@ def _ipow(base, k: int):
 def gamma(n: int, alpha):
     """Boundary curve value; returns exactly 1 for n = 1."""
     n = _check_n(n, 1)
-    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
     inner = 1.0 - (1.0 - np.exp(-1j * a)) / n
     out = np.exp(1j * a) * _ipow(inner, n) if n > 1 else np.ones(a.shape, np.complex128)
     return complex(out[()]) if a.ndim == 0 else out
@@ -72,7 +78,7 @@ def gamma(n: int, alpha):
 def gamma_derivative(n: int, alpha):
     """d gamma / d alpha; vanishes only at alpha = 0."""
     n = _check_n(n, 2)
-    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
     shrink = 1.0 - np.exp(-1j * a)
     inner = 1.0 - shrink / n
     out = 1j * (1.0 - 1.0 / n) * shrink * np.exp(1j * a) * _ipow(inner, n - 1)
@@ -120,7 +126,7 @@ def theta_of_alpha(n: int, alpha):
     and |alpha| <= pi wherever theta is a normal float.
     """
     n = _check_n(n, 3)
-    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
     out = np.copysign(_theta_and_slope(n, np.abs(a))[0], a)
     return float(out[()]) if a.ndim == 0 else out
 
@@ -129,7 +135,7 @@ def theta_derivative(n: int, alpha):
     """d theta / d alpha = 2(n-1)(n-2) t^2 / ((n-2)^2 (1 + t^2) + 4(n-1)),
     t = tan(alpha/2); nonnegative, zero only at alpha = 0."""
     n = _check_n(n, 3)
-    a = np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
     out = _theta_and_slope(n, np.abs(a))[1]
     return float(out[()]) if a.ndim == 0 else out
 
@@ -174,7 +180,7 @@ def alpha_of_theta(n: int, theta):
     n = 3 .. 10^6, from subnormal |theta| up to pi, and the map is exactly odd.
     """
     n = _check_n(n, 3)
-    t = np.asarray(wrap_angle(_check_finite("theta", theta)), np.float64)
+    t = np.asarray(_wrap_angle(_check_finite("theta", theta)), np.float64)
     out = _invert_theta(n, t if t.ndim else t[None])
     return float(out[0]) if t.ndim == 0 else out
 
@@ -195,7 +201,7 @@ def _radius_from_alpha(n: int, alpha):
 def radius_of_theta(n: int, theta) -> PolarPoint:
     """Polar radius of the boundary at angle ``theta`` (n >= 3)."""
     n = _check_n(n, 3)
-    t = wrap_angle(_check_finite("theta", theta))
+    t = _wrap_angle(_check_finite("theta", theta))
     return PolarPoint(theta=float(t), r=float(_radius_many(n, np.reshape(t, 1))[0]))
 
 
@@ -210,7 +216,7 @@ def _interior_args(n: int, alpha, y):
     yy = np.asarray(_check_finite("y", y), np.float64)
     if np.any(yy < 1.0 - 1e-9) or np.any(yy > n - 1.0 + 1e-9):
         raise ValueError(f"second parameter must lie in [1, {n - 1}]")
-    return n, np.asarray(wrap_angle(_check_finite("alpha", alpha)), np.float64), yy
+    return n, np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64), yy
 
 
 def big_gamma(n: int, alpha, y):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import alpha_of_theta, wrap_angle, _ipow
+from .boundary import alpha_of_theta, _ipow, _wrap_angle
 from .matrices import diag_product, is_special_unitary, _MASK64
 from .matrices import _check_finite, _check_n, _check_tol, _square
 
@@ -57,7 +57,7 @@ class ExtremalDecomposition:
         phases.flags.writeable = False
         alpha = float(self.alpha)
         if math.isfinite(alpha):  # violations() reports a non-finite alpha
-            alpha = float(wrap_angle(alpha))
+            alpha = float(_wrap_angle(alpha))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "diag_phases", phases)
@@ -149,7 +149,7 @@ def _homotopy_matrix(n: int, alpha, q: float) -> np.ndarray:
     v = (sqrt(1-q), sqrt(q/(n-1)), ...), with its first column turned by
     e^{i a}.  Every such member is special unitary, also past the boundary
     weight q = (n-1)/n."""
-    a = float(wrap_angle(alpha))
+    a = float(_wrap_angle(alpha))
     v = np.full(n, math.sqrt(q / (n - 1.0)))
     v[0] = math.sqrt(1.0 - q)
     u = np.eye(n, dtype=np.complex128) - (1.0 - np.exp(-1j * a)) * np.outer(v, v)
@@ -244,7 +244,7 @@ def decompose_su2(z, w) -> ExtremalDecomposition:
     a1 = np.angle(lift * sz)
     a2 = np.angle(lift * sz.conjugate())
     v = np.array([sz, 1j * sw]) / math.sqrt(2.0)
-    return ExtremalDecomposition(float(wrap_angle(a1 + a2)), v, np.array([a1, a2]))
+    return ExtremalDecomposition(float(_wrap_angle(a1 + a2)), v, np.array([a1, a2]))
 
 
 def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
@@ -307,16 +307,16 @@ def _closed_form_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition |
     if alpha == -math.pi:
         alpha = math.pi  # the half-turn is reported as +pi
     psi = np.angle(1.0 - (1.0 - np.exp(-1j * alpha)) / n)
-    phases = wrap_angle(np.angle(np.diagonal(u)) - psi)
-    phases[0] += float(wrap_angle(alpha - phases.sum()))
+    phases = _wrap_angle(np.angle(np.diagonal(u)) - psi)
+    phases[0] += float(_wrap_angle(alpha - phases.sum()))
     return ExtremalDecomposition(alpha, v, phases)
 
 
 def _degenerate_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition:
     # diagonal product at the cusp value 1: the reflection term vanishes and
     # any equal-modulus vector is admissible
-    phases = wrap_angle(np.angle(np.diagonal(u)))
-    phases[0] += float(wrap_angle(-phases.sum()))
+    phases = _wrap_angle(np.angle(np.diagonal(u)))
+    phases[0] += float(_wrap_angle(-phases.sum()))
     v = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     return ExtremalDecomposition(0.0, v, phases)
 
@@ -328,11 +328,11 @@ def random_extremal(n: int, seed: int = 0, alpha: float | None = None) -> Extrem
     rng = np.random.default_rng(_check_n(seed, name="seed") & _MASK64)
     if alpha is None:
         alpha = rng.uniform(-math.pi, math.pi)
-    alpha = float(wrap_angle(_check_finite("alpha", alpha)))
+    alpha = float(_wrap_angle(_check_finite("alpha", alpha)))
     v = np.exp(1j * rng.uniform(-math.pi, math.pi, n)) / math.sqrt(n)
     if n == 1:
         phases = np.array([alpha])
     else:
         head = rng.uniform(-math.pi, math.pi, n - 1)
-        phases = np.append(head, wrap_angle(alpha - head.sum()))
+        phases = np.append(head, _wrap_angle(alpha - head.sum()))
     return ExtremalDecomposition(alpha, v, phases)

@@ -39,13 +39,14 @@ _GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
 _MIX64 = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, applied in place to a ``uint64`` array.
+def _splitmix64(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, applied in place to a ``uint64`` array, with
+    ``t`` (if given) a scratch array of its shape.
 
     numpy's ``uint64`` array arithmetic wraps modulo 2**64, which is exactly
     the arithmetic the mixer is defined in.
     """
-    t = x >> 30
+    t = np.right_shift(x, 30, out=t)
     x ^= t
     x *= _MIX64[0]
     np.right_shift(x, 27, out=t)
@@ -76,9 +77,11 @@ def derive_seed(seed: int, index: int) -> int:
     return int(_stream_keys(_check_n(seed, name="seed"), _check_n(index, name="index"), 1)[0])
 
 
-def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
+def _standard_normals(keys: np.ndarray, count: int, work: np.ndarray) -> np.ndarray:
     """``count`` standard normals per stream key, batch-last: shape
-    ``(count, len(keys))``.
+    ``(count, len(keys))``, a view of ``work``, a float64 buffer of at least
+    ``4 ((count + 1) // 2) len(keys)`` entries: its halves hold the draws and
+    the mixer's scratch, then the uniforms and the normals.
 
     Counter-based: draw ``j`` of stream ``k`` is ``derive_seed(k, j)``, the
     ``j``-th output of a SplitMix64 generator seeded with ``k`` (Salmon et al.,
@@ -88,23 +91,23 @@ def _standard_normals(keys: np.ndarray, count: int) -> np.ndarray:
     ``pairs + j`` (angle) into normals ``2j`` (``r cos``) and ``2j + 1``
     (``r sin``), so rows ``0::2`` and ``1::2`` are the two halves as computed.
     """
-    pairs = (count + 1) // 2
-    x = np.arange(1, 2 * pairs + 1, dtype=np.uint64)[:, None] * _GOLDEN64
-    x = _splitmix64(x + keys)
+    pairs, m = (count + 1) // 2, len(keys)
+    first, second = work[: 4 * pairs * m].reshape(2, 2 * pairs, m)
+    x = first.view(np.uint64)
+    np.add(np.arange(1, 2 * pairs + 1, dtype=np.uint64)[:, None] * _GOLDEN64, keys, out=x)
+    _splitmix64(x, second.view(np.uint64))
     np.right_shift(x, 11, out=x)
-    u = x.astype(np.float64)
-    del x
-    u += 0.5
+    u = np.add(x, 0.5, out=second)  # exact: the 53 bits convert exactly
     u *= 2.0**-53
-    radius = np.log(u[:pairs])
+    radius = np.log(u[:pairs], out=u[:pairs])
     radius *= -2.0
     np.sqrt(radius, out=radius)
     angle = u[pairs:]
     angle *= 2.0 * np.pi
-    out = np.empty((pairs, 2, len(keys)))
-    np.multiply(radius, np.cos(angle), out=out[:, 0])
-    np.multiply(radius, np.sin(angle), out=out[:, 1])
-    return out.reshape(2 * pairs, len(keys))[:count]
+    out = first.reshape(pairs, 2, m)
+    np.multiply(np.cos(angle, out=out[:, 0]), radius, out=out[:, 0])
+    np.multiply(np.sin(angle, out=out[:, 1]), radius, out=out[:, 1])
+    return out.reshape(2 * pairs, m)[:count]
 
 
 def _square(m) -> np.ndarray:
@@ -239,28 +242,27 @@ def _reflect(beta, v: np.ndarray, b: np.ndarray, work: np.ndarray) -> None:
 
     ``v`` holds the reflector as ``(P, p, m)`` planes and ``b`` the block as
     ``(P, p, c, m)`` planes, ``p >= 2``: ``P = 1`` for a real reflector and 2
-    (real, imaginary) for a complex one.  ``work`` holds two scratch stacks of
-    at least the block's shape, so no block-sized temporary is allocated.
+    (real, imaginary) for a complex one.  ``work`` holds ``2 P - 1`` scratch
+    planes of at least the block's ``(p, c, m)`` shape, so no block-sized
+    temporary is allocated.
     """
-    p, c = b.shape[1:3]
-    s, t = work[0, :, :p, :c], work[1, :, :p, :c]
+    planes, p, c = b.shape[:3]
+    s = work[:planes, :p, :c]
     vr = v[0, :, None]
     np.multiply(vr, b, out=s)  # vr br, vr bi
-    if len(v) == 2:
-        vi = v[1, :, None]
-        np.multiply(vi, b[::-1], out=t)  # vi bi, vi br
-        s[0] += t[0]
-        s[1] -= t[1]
+    if planes == 2:
+        t, vi = work[2, :p, :c], v[1, :, None]
+        s[0] += np.multiply(vi, b[1], out=t)  # vi bi
+        s[1] -= np.multiply(vi, b[0], out=t)  # vi br
     w = _ordered_sum(s.swapaxes(0, 1))  # v^H b: (wr, wi)
     w *= beta
     b -= np.multiply(vr, w[:, None], out=s)
-    if len(v) == 2:
-        np.multiply(vi, w[::-1, None], out=t)  # vi wi, vi wr
-        b[0] += t[0]
-        b[1] -= t[1]
+    if planes == 2:
+        b[0] += np.multiply(vi, w[1], out=t)  # vi wi
+        b[1] -= np.multiply(vi, w[0], out=t)  # vi wr
 
 
-def _householder_q(v: np.ndarray):
+def _householder_q(v: np.ndarray, work: np.ndarray):
     """Q = H_0 ... H_{n-2} diag(f) and det Q, for a batch-last stack.
 
     ``v`` holds ``m`` lower-triangular ``(n, n, m)`` matrices as ``P`` planes,
@@ -269,18 +271,22 @@ def _householder_q(v: np.ndarray):
     ``k``; the strict upper triangle must be zero, so the norms of all columns
     come from one ordered sum (leading zeros add exactly).  ``H_k = I -
     beta_k u u^H`` on rows ``k..n-1`` with ``u = x + ph_k |x| e1``, ``ph_k`` the
-    phase of ``x[0]`` (1 where it is 0); ``u`` is written over ``x``.  ``f_k =
-    -ph_k`` (``ph_k`` where ``x = 0`` and ``H_k = I``) and ``f_{n-1} =
-    ph_{n-1}``, so ``det Q = ph_0 ... ph_{n-1}``.  Only real elementwise
+    phase of ``x[0]`` (1 where it is 0).  ``f_k = -ph_k`` (``ph_k`` where
+    ``x = 0`` and ``H_k = I``) and ``f_{n-1} = ph_{n-1}``, so ``det Q = ph_0
+    ... ph_{n-1}``.  Q is accumulated over ``v`` in place: before step ``k``,
+    ``u`` moves to a spare column and column ``k`` becomes ``f_k e_k``, what
+    ``H_{k+1} ... H_{n-2} diag(f)`` holds there.  Only real elementwise
     operations are used, so each matrix of a batch gets the same bits as it
-    would alone.  Returns Q as ``(P, n, n, m)`` planes and det Q as ``(P, m)``.
+    would alone.  ``work`` is scratch of shape ``(2 P - 1, n, n, m)``.
+    Returns Q (that is, ``v``) as ``(P, n, n, m)`` planes and det Q as
+    ``(P, m)``.
     """
     cplx = len(v) == 2
     n, m = v.shape[2:]
     diag = np.arange(n)
-    sq = v[0] * v[0]
+    sq = np.multiply(v[0], v[0], out=work[0])
     if cplx:
-        sq += v[1] * v[1]
+        sq += np.multiply(v[1], v[1], out=work[1])
     x0 = np.sqrt(sq[diag, diag])
     nonzero = x0 > 0.0
     ph = v[:, diag, diag] / np.where(nonzero, x0, 1.0)
@@ -292,12 +298,15 @@ def _householder_q(v: np.ndarray):
         v[:, diag[:-1], diag[:-1]] = ph[:, :-1] * scale
         scale *= norm  # |u|^2 / 2, zero only for a zero vector, where H_k = I
         np.divide(1.0, scale, out=beta, where=scale > 0.0)
-    q = np.zeros(v.shape)
-    q[:, diag, diag] = ph
-    q[:, diag[:-1], diag[:-1]] *= np.where(beta > 0.0, -1.0, 1.0)
-    work = np.empty((2,) + v.shape)
+    sign = np.where(beta > 0.0, -1.0, 1.0)
+    spare = np.empty((len(v), n, m))
+    v[:, -1, -1] = ph[:, -1]
     for k in range(n - 2, -1, -1):
-        _reflect(beta[k], v[:, k:, k], q[:, k:, k:], work)
+        u = spare[:, k:]
+        u[...] = v[:, k:, k]
+        v[:, k:, k] = 0.0
+        v[:, k, k] = ph[:, k] * sign[k]
+        _reflect(beta[k], u, v[:, k:, k:], work)
     d = ph[:, 0]
     for k in range(1, n):
         if cplx:
@@ -305,30 +314,46 @@ def _householder_q(v: np.ndarray):
             d = np.array([dr * pr - di * pi, dr * pi + di * pr])
         else:
             d = d * ph[:, k]
-    return q, d
+    return v, d
 
 
-def _reflector_vectors(n: int, keys: np.ndarray, planes: int) -> np.ndarray:
-    """Stewart's (1980) reflector vectors, one set per stream key, for
-    ``_householder_q``: each key's ``planes * n (n + 1) / 2`` normals, taken
+def _stewart_q(n: int, keys: np.ndarray, planes: int):
+    """Stewart's (1980) Q for one sample per stream key, as ``_householder_q``
+    returns it, and its spent scratch, a buffer of at least Q's size for the
+    caller's output.  Each key's ``planes * n (n + 1) / 2`` normals, taken
     ``planes`` at a time (the ``r cos`` and ``r sin`` halves of a Box-Muller
     pair are the real and imaginary parts of a complex entry), fill the lower
     triangle column by column, so column ``k``, rows ``k..n-1``, is reflector
     ``k``'s fresh Gaussian vector.  In a QR of a Gaussian matrix, reflector
     ``k`` sees exactly such a vector, independent of the earlier ones, so no
     forward pass is needed; the reflectors are scale-free, so the entry
-    variance does not matter."""
-    n = _check_n(n, 1)
-    g = _standard_normals(keys, planes * (n * (n + 1) // 2)).reshape(-1, planes, len(keys))
+    variance does not matter.  The normals, the reflection scratch and then
+    the output share one buffer, and Q overwrites the reflectors, so a call
+    allocates two large arrays."""
+    n, m = _check_n(n, 1), len(keys)
+    count = planes * (n * (n + 1) // 2)
+    v = np.empty((planes, n, n, m))
+    v.fill(0.0)  # written now, as a fresh np.zeros page is faulted twice
+    scratch = (2 * planes - 1) * n * n * m
+    work = np.empty(max(scratch, 4 * ((count + 1) // 2) * m))
+    g = _standard_normals(keys, count, work).reshape(-1, planes, m)
     cols, rows = np.triu_indices(n)
-    v = np.zeros((planes, n, n, len(keys)))
     v[:, rows, cols] = g.transpose(1, 0, 2)
-    return v
+    q, d = _householder_q(v, work[:scratch].reshape((2 * planes - 1,) + v.shape[1:]))
+    return q, d, work
 
 
-def _batch_first(q: np.ndarray) -> np.ndarray:
-    """The ``(m, n, n)`` complex stack of batch-last ``(2, n, n, m)`` planes."""
-    out = np.empty(q.shape[3:] + q.shape[1:3], np.complex128)
+def _batch_first(q: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """The ``(m, n, n)`` stack of batch-last ``(P, n, n, m)`` planes, complex
+    for two planes and real for one, written over the start of ``buffer``, a
+    spent float64 array of at least the planes' size."""
+    m, n = q.shape[3], q.shape[1]
+    buffer = buffer.reshape(-1)[: q.size]
+    if len(q) == 1:
+        out = buffer.reshape(m, n, n)
+        out[...] = q[0].transpose(2, 0, 1)
+        return out
+    out = buffer.view(np.complex128).reshape(m, n, n)
     planes = out.transpose(1, 2, 0)
     planes.real, planes.imag = q
     return out
@@ -338,37 +363,44 @@ def _haar_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """One Haar U(n) sample per stream key: Stewart's Householder Q, which
     has the law of the Q factor of a complex Ginibre matrix with a real
     positive R diagonal (Mezzadri 2007)."""
-    return _batch_first(_householder_q(_reflector_vectors(n, keys, 2))[0])
+    q, _, spent = _stewart_q(n, keys, 2)
+    return _batch_first(q, spent)
 
 
 def _haar_special_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """The U(n) sample with column 1 divided by det Q: multiplied by its
     conjugate, since det Q is a unit phase."""
-    q, (dr, di) = _householder_q(_reflector_vectors(n, keys, 2))
+    q, (dr, di), spent = _stewart_q(n, keys, 2)
     cr, ci = q[:, :, 0]
     cr[...], ci[...] = cr * dr + ci * di, ci * dr - cr * di
-    return _batch_first(q)
+    return _batch_first(q, spent)
 
 
 def _haar_special_orthogonal_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """One Haar SO(n) sample per stream key: Stewart's Q from real reflector
     vectors, column 1 flipped where det Q = -1."""
-    (q,), (d,) = _householder_q(_reflector_vectors(n, keys, 1))
-    q[:, 0] *= d
-    return np.ascontiguousarray(q.transpose(2, 0, 1))
+    q, (d,), spent = _stewart_q(n, keys, 1)
+    q[0, :, 0] *= d
+    return _batch_first(q, spent)
 
 
 def _haar_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Stack of ``count`` Haar unitaries; slice ``i`` is seeded by
-    ``derive_seed(seed, start + i)`` and equals ``haar_unitary(n, that_seed)``."""
+    ``derive_seed(seed, start + i)`` and equals ``haar_unitary(n, that_seed)``.
+    The stack is a view of the start of the call's spent scratch buffer, which
+    it keeps alive: 1.5 times its size for U(n) and SU(n), and for SO(n) up to
+    2 times (at n = 2).  A caller that holds a large stack long can trim it
+    with ``copy``."""
     return _haar_unitary_keys(n, _stream_keys(seed, start, count))
 
 
 def _haar_special_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """As :func:`_haar_unitary_batch`, for SU(n), and a view of a buffer alike."""
     return _haar_special_unitary_keys(n, _stream_keys(seed, start, count))
 
 
 def _haar_special_orthogonal_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """As :func:`_haar_unitary_batch`, for SO(n), and a view of a buffer alike."""
     return _haar_special_orthogonal_keys(n, _stream_keys(seed, start, count))
 
 

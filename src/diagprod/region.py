@@ -119,27 +119,54 @@ def so_interval(n: int) -> tuple[float, float]:
     return (lo, 1.0)
 
 
-# consecutive polyline segments that share one bounding box
+# consecutive polyline segments that share one bounding box: a run is the
+# first level of the winding core's pruning, a sub-box of a run the second.
+# One level of shorter runs is slower: on 128-point blocks, 16- or 32-segment
+# runs without sub-boxes took about 1.5 times as long as the two levels.
 _RUN = 64
+_SUB = 8
+_OFFSETS = np.arange(_RUN + 1)  # of a run's vertices, or of a box's segments
+_SUB_POINTS = 16  # the fewest points of a block that also tests sub-boxes
 
 
-def _run_vertices(runs: np.ndarray, samples: int) -> np.ndarray:
-    """Polyline vertex indices of each run: the starts of its segments and the
-    vertex that closes its last one, shape ``runs.shape + (_RUN + 1,)``."""
-    idx = np.minimum(runs[..., None] * _RUN + np.arange(_RUN + 1), samples)
-    return idx % samples
-
-
-@lru_cache(maxsize=32)
-def _polyline_boxes(n: int, samples: int) -> np.ndarray:
-    """Rows xmin, xmax, ymin, ymax of the bounding box of each run of ``_RUN``
-    consecutive segments of the boundary polyline (the last run may be
-    shorter)."""
+@lru_cache(maxsize=64)
+def _polyline_boxes(n: int, samples: int, size: int) -> np.ndarray:
+    """Rows xmin, xmax, ymin, ymax of the bounding box of each ``size``
+    consecutive segments of the boundary polyline (the last box that holds a
+    segment may hold fewer), ``_RUN // size`` boxes per run: where the last
+    run is short, the boxes past the end are NaN, which no predicate keeps."""
     pts = _boundary_polyline(n, samples)
-    v = pts[_run_vertices(np.arange(-(-samples // _RUN)), samples)]
+    first = np.arange(-(-samples // _RUN) * (_RUN // size)) * size
+    v = pts[np.minimum(first[:, None] + np.arange(size + 1), samples) % samples]
     boxes = np.stack([v.real.min(1), v.real.max(1), v.imag.min(1), v.imag.max(1)])
+    boxes[:, first >= samples] = np.nan
     boxes.flags.writeable = False
     return boxes
+
+
+def _gap2(zx: np.ndarray, zy: np.ndarray, boxes, out: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to each box (0 inside it), written
+    into ``out``, three scratch arrays of the broadcast shape; returns out[0]."""
+    xmin, xmax, ymin, ymax = boxes
+    gx, gy, other = out
+    np.maximum(np.subtract(xmin, zx, out=gx), np.subtract(zx, xmax, out=other), out=gx)
+    np.maximum(gx, 0.0, out=gx)
+    gx *= gx
+    np.maximum(np.subtract(ymin, zy, out=gy), np.subtract(zy, ymax, out=other), out=gy)
+    np.maximum(gy, 0.0, out=gy)
+    gy *= gy
+    gx += gy
+    return gx
+
+
+def _kept(gap2, reach2, zx, zy, boxes) -> np.ndarray:
+    """The boxes no farther than the reach (which may hold the nearest
+    segment) or spanning the point's height at or right of it (which may
+    cross its rightward ray), with the rounding slack of
+    ``_winding_codes_many``."""
+    _, xmax, ymin, ymax = boxes
+    ray = (ymin - 1e-12 <= zy) & (zy <= ymax + 1e-12) & (xmax >= zx - 1e-12)
+    return (gap2 <= reach2) | ray
 
 
 @np.errstate(over="ignore")
@@ -149,52 +176,71 @@ def _winding_codes_many(
     """Winding-number classification of an array of points: the core of
     :func:`su_region_contains_winding`.
 
-    Returns (codes, margins); points are processed in blocks to bound memory.
-    The winding number is counted through signed horizontal-ray crossings
+    Returns (codes, margins); points are processed in blocks to bound memory,
+    and the first level's temporaries of all blocks share one buffer.  The
+    winding number is counted through signed horizontal-ray crossings
     (multiplication-only, exact for points off the polyline).
 
-    Each point tests only the segments of the runs whose bounding box can
-    matter, with the same per-segment arithmetic as a test of every segment,
-    so codes and margins equal that test bit for bit.  A run is kept when
-    its box is no farther than the nearest vertex of the nearest box (that
-    vertex bounds the nearest-segment distance from above), or when the box
-    spans the point's height and reaches the right of it (only such a segment
-    can cross the rightward ray).  The slack constants keep the pruning exact
-    under rounding: the crossing predicates compare rounded differences,
-    which can misplace a segment's end by an ulp of the unit disk (1e-12
-    covers it), and a computed distance is off by an ulp of the point's
-    coordinates, which the relative 1e-9 and the absolute 1e-12 on the
-    distance bound cover.
+    Each point tests only the segments of the boxes that can matter, with
+    the same per-segment arithmetic as a test of every segment, so codes and
+    margins equal that test bit for bit.  The boxes come in two levels: runs
+    of ``_RUN`` segments, and the ``_SUB``-segment sub-boxes of the runs a
+    point keeps.  A block of fewer than ``_SUB_POINTS`` points (a scalar
+    query) stops at the runs, as the second level's fixed cost per block
+    exceeds what its fewer segments save there.  At both levels a box is
+    kept when it is no farther than the reach, the distance to the nearest
+    vertex of the nearest run (any polyline vertex bounds the nearest-segment
+    distance from above, so the vertices after a short last run serve too),
+    or when it spans the point's height and reaches the right of it.  That
+    is exact at each level for the same two reasons: the nearest segment
+    lies in a box no farther than that vertex, so its run and its sub-box are
+    both kept, and a segment that crosses the rightward ray has an end on
+    each side of the point's height, right of the point, so both its boxes
+    span the ray.  The slack
+    constants keep the pruning exact under rounding: the crossing predicates
+    compare rounded differences, which can misplace a segment's end by an ulp
+    of the unit disk (1e-12 covers it), and a computed distance is off by an
+    ulp of the point's coordinates, which the relative 1e-9 and the absolute
+    1e-12 on the reach cover.
     """
     zs = np.asarray(zs, np.complex128).reshape(-1)
     finite = np.isfinite(zs)
     zs = np.where(finite, zs, 0.0)
     pts = _boundary_polyline(n, samples)
-    xmin, xmax, ymin, ymax = _polyline_boxes(n, samples)
-    offsets = np.arange(_RUN)
+    run_boxes = _polyline_boxes(n, samples, _RUN)
     codes = np.empty(len(zs), np.int8)
     margins = np.empty(len(zs))
+    scratch = np.empty((3, min(block, len(zs)), run_boxes.shape[1]))
     for start in range(0, len(zs), block):
         z = zs[start : start + block]
         zx = z.real[:, None]
         zy = z.imag[:, None]
-        gx = np.maximum(np.maximum(xmin - zx, zx - xmax), 0.0)
-        gy = np.maximum(np.maximum(ymin - zy, zy - ymax), 0.0)
-        lb2 = gx * gx + gy * gy
-        v = pts[_run_vertices(lb2.argmin(axis=1), samples)]
+        lb2 = _gap2(zx, zy, run_boxes, scratch[:, : len(z)])
+        v = pts.take(lb2.argmin(axis=1)[:, None] * _RUN + _OFFSETS, mode="wrap")
         vx = zx - v.real
         vy = zy - v.imag
-        ub = np.sqrt((vx * vx + vy * vy).min(axis=1, keepdims=True))
-        reach = ub * (1.0 + 1e-9) + 1e-12
-        near = lb2 <= reach * reach
-        ray = (ymin - 1e-12 <= zy) & (zy <= ymax + 1e-12) & (xmax >= zx - 1e-12)
-        rows, runs = np.nonzero(near | ray)
-        seg = (runs[:, None] * _RUN + offsets).reshape(-1)
-        row = np.repeat(rows, _RUN)
-        real = seg < samples  # the last run may be shorter
+        vx *= vx
+        vy *= vy
+        vx += vy
+        reach = np.sqrt(vx.min(axis=1, keepdims=True))
+        reach *= 1.0 + 1e-9
+        reach += 1e-12
+        reach *= reach
+        rows, boxes = np.nonzero(_kept(lb2, reach, zx, zy, run_boxes))
+        size = _RUN
+        if len(z) >= _SUB_POINTS:  # the sub-boxes of the kept runs
+            subs = boxes[:, None] * (_RUN // _SUB) + _OFFSETS[: _RUN // _SUB]
+            sub = _polyline_boxes(n, samples, _SUB)[:, subs]
+            bx, by = z.real[rows, None], z.imag[rows, None]
+            gap2 = _gap2(bx, by, sub, np.empty((3,) + subs.shape))
+            pairs, which = np.nonzero(_kept(gap2, reach[rows], bx, by, sub))
+            rows, boxes, size = rows[pairs], subs[pairs, which], _SUB
+        seg = (boxes[:, None] * size + _OFFSETS[:size]).reshape(-1)
+        row = np.repeat(rows, size)
+        real = seg < samples  # the last box may be shorter
         seg, row = seg[real], row[real]
         p = pts[seg]
-        s = pts[(seg + 1) % samples] - p
+        s = pts.take(seg + 1, mode="wrap") - p
         px, py = p.real, p.imag
         sx, sy = s.real, s.imag
         inv_seg2 = 1.0 / (sx**2 + sy**2)
@@ -226,11 +272,9 @@ def _winding_codes_many(
         # from it to rounding (from about 1e154 on, dist2 overflows)
         dist = np.where(dist2 >= 1e300, np.abs(z), np.sqrt(dist2))
         on_edge = dist <= tol
-        inside = (winding != 0) & ~on_edge
+        inside = winding != 0
         codes[start : start + block] = np.where(on_edge, 0, np.where(inside, 1, -1))
-        margins[start : start + block] = np.where(
-            on_edge, dist, np.where(inside, dist, -dist)
-        )
+        margins[start : start + block] = np.where(on_edge | inside, dist, -dist)
     codes[~finite] = -1
     margins[~finite] = -np.inf
     return codes, margins

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import wrap_angle, _invert_theta
+from .boundary import _invert_theta, _wrap_angle
 from .boundary import _ipow, _radius_from_alpha, _radius_many
 from .constructors import omega_max, _build_u_z_many, _homotopy_matrix, _homotopy_product
 from .matrices import (
@@ -275,7 +275,7 @@ def _descend(n: int, zs: np.ndarray, a: np.ndarray, q: np.ndarray, max_iter: int
         det = m_aa * m_qq - j_aq * j_aq
         tried = det > 0.0
         rows, det = live[tried], det[tried]
-        a_try = wrap_angle(a[rows] - (m_qq * g_a - j_aq * g_q)[tried] / det)
+        a_try = _wrap_angle(a[rows] - (m_qq * g_a - j_aq * g_q)[tried] / det)
         q_try = np.clip(q[rows] - (m_aa * g_q - j_aq * g_a)[tried] / det, 0.0, 1.0)
         trial = _homotopy_product(n, a_try, q_try)
         r_try = np.abs(trial[0] - zs[rows])
@@ -456,22 +456,29 @@ def _retract(u: np.ndarray, w: complex, t: np.ndarray, steps: int):
     """(matrices, w p), given t = w p, after up to ``steps`` Newton steps on
     arg(w p) = 0: exp(sigma a_g') u, sigma = -arg(w p) / (<a_g', a_g'> / 2) 2^-k
     with k = 0..7 giving the least |arg(w p)|, kept only where that is lower
-    (a_g' vanishes at p = 1) and taken only where it exceeds ``_ROUNDOFF``."""
+    (a_g' vanishes at p = 1).  A step is taken only by the matrices where
+    |arg(w p)| exceeds ``_ROUNDOFF``: they alone are decomposed and moved,
+    gathered unless every matrix needs the step."""
     for _ in range(steps):
         arg = np.angle(t)
-        need = np.abs(arg) > _ROUNDOFF
-        if not need.any():
+        rows = np.flatnonzero(np.abs(arg) > _ROUNDOFF)
+        if not rows.size:
             break
-        a_g = _log_tangent(u, w, t)[1]
+        if rows.size < len(t):
+            u_need, t_need, arg = u[rows], t[rows], arg[rows]
+        else:
+            u_need, t_need = u, t
+        a_g = _log_tangent(u_need, w, t_need)[1]
         sigma = -arg / np.maximum(0.5 * _inner(a_g, a_g), 1e-300)
         trial = sigma[:, None] * _STEP_GRID
         lam, v = np.linalg.eigh(1j * a_g)
-        b = v.conj().swapaxes(-1, -2) @ u
+        b = v.conj().swapaxes(-1, -2) @ u_need
         pick = np.abs(np.angle(w * _moved_products(v, lam, b, trial))).argmin(axis=1)
         u_try = _moved(v, lam, b, np.take_along_axis(trial, pick[:, None], 1)[:, 0])
         t_try = w * _diag_products(u_try)
-        keep = need & (np.abs(np.angle(t_try)) < np.abs(arg))
-        u, t = np.where(keep[:, None, None], u_try, u), np.where(keep, t_try, t)
+        keep = np.abs(np.angle(t_try)) < np.abs(arg)
+        u, t = u.copy(), t.copy()
+        u[rows[keep]], t[rows[keep]] = u_try[keep], t_try[keep]
     return u, t
 
 
@@ -548,7 +555,7 @@ def constrained_max_numeric(
     n, seed = _check_n(n, 3), _check_n(seed, name="seed")
     cfg = (config or OptimizerConfig()).validate()
     tally = _Tally()
-    th = float(wrap_angle(_check_finite("theta", theta)))
+    th = float(_wrap_angle(_check_finite("theta", theta)))
     target = float(_radius_many(n, np.array([th]))[0])
     w = complex(np.exp(-1j * th))
     u = _level_set_ascent(_haar_special_unitary_batch(n, seed, cfg.restarts), w, cfg)

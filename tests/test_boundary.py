@@ -210,8 +210,8 @@ class TestAlphaOfTheta:
         # regression: each iteration re-wrapped angles that the bracket keeps
         # inside [-pi, pi], which made wrap_angle the bulk of an inversion
         calls = []
-        unwrapped = boundary.wrap_angle
-        monkeypatch.setattr(boundary, "wrap_angle", lambda x: calls.append(x) or unwrapped(x))
+        unwrapped = boundary._wrap_angle
+        monkeypatch.setattr(boundary, "_wrap_angle", lambda x: calls.append(x) or unwrapped(x))
         for n in (3, 5, 12):
             boundary._invert_theta(n, np.linspace(-np.pi, np.pi, 9))
             boundary._invert_theta(n, np.array([0.7]))
@@ -329,8 +329,8 @@ class TestRadius:
         # regression: radius_of_theta checked and wrapped theta in alpha_of_theta
         # and then wrapped it again for PolarPoint.theta
         calls = []
-        unwrapped = boundary.wrap_angle
-        monkeypatch.setattr(boundary, "wrap_angle", lambda x: calls.append(x) or unwrapped(x))
+        unwrapped = boundary._wrap_angle
+        monkeypatch.setattr(boundary, "_wrap_angle", lambda x: calls.append(x) or unwrapped(x))
         for n, theta in ((3, 0.4), (5, -2.9), (7, 7.0), (12, np.pi)):
             p = radius_of_theta(n, theta)
             assert len(calls) == 1
@@ -430,6 +430,13 @@ class TestWrapAngle:
         assert wrap_angle(3.0 * np.pi) == pytest.approx(np.pi)
         assert wrap_angle(-3.0 * np.pi) == pytest.approx(np.pi)
         assert wrap_angle(2.5 * np.pi) == pytest.approx(0.5 * np.pi)
+
+    # regression: wrap_angle(inf) returned nan with a RuntimeWarning
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        for angle in (bad, np.array([0.5, bad]), [bad]):
+            with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$"):
+                wrap_angle(angle)
 
     # regression: a - 2 pi round(a / 2 pi) left (-pi, pi] for |a| above about
     # 1.5e15 (wrap_angle(1e16) was -4.0, theta_of_alpha(3, 1e16) -5.54)

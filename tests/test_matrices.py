@@ -645,7 +645,7 @@ class TestHaarSampling:
     def test_standard_normal_stream(self):
         from scipy import stats
 
-        z = _standard_normals(_stream_keys(2024, 0, 1000), 1000)
+        z = _standard_normals(_stream_keys(2024, 0, 1000), 1000, np.empty(4 * 500 * 1000))
         assert z.shape == (1000, 1000)
         assert np.isfinite(z).all()
         assert stats.kstest(z.ravel(), "norm").pvalue > 1e-3
@@ -701,14 +701,16 @@ class TestHouseholderCore:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_complex(self, name):
         v = np.asarray(self.CASES[name], np.complex128)
-        (qr, qi), (dr, di) = _householder_q(np.array(_planes([v, v.conj()])))
+        planes = np.array(_planes([v, v.conj()]))
+        (qr, qi), (dr, di) = _householder_q(planes, np.empty((3,) + planes.shape[1:]))
         for k, vec in enumerate((v, v.conj())):
             self._check(vec, qr[:, :, k] + 1j * qi[:, :, k], complex(dr[k], di[k]))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_real(self, name):
         v = np.asarray(self.CASES[name], np.complex128).real
-        q, d = _householder_q(_planes([v])[0][None])
+        plane = _planes([v])[0][None]
+        q, d = _householder_q(plane, np.empty(plane.shape))
         assert q.shape == (1, 3, 3, 1) and d.shape == (1, 1)
         self._check(v, q[0, :, :, 0], d[0, 0])
 

@@ -20,6 +20,8 @@ from diagprod.region import (
     _boundary_polyline,
     _classify_su_many,
     _RUN,
+    _SUB,
+    _SUB_POINTS,
     _polyline_boxes,
     _winding_codes_many,
 )
@@ -238,8 +240,9 @@ def winding_cases(draw):
 
 
 class TestPrunedWinding:
-    """The winding core prunes segments by run bounding boxes; codes and
-    margins must equal the all-segments reference bit for bit."""
+    """The winding core prunes segments by run bounding boxes and, for blocks
+    of at least ``_SUB_POINTS`` points, by the sub-boxes of the kept runs;
+    codes and margins must equal the all-segments reference bit for bit."""
 
     @given(winding_cases())
     @settings(max_examples=150, deadline=None)
@@ -252,13 +255,34 @@ class TestPrunedWinding:
         assert np.array_equal(margins, want_margins)
 
     def test_boxes_hold_every_segment(self):
-        for n, samples in ((3, 1024), (7, 1500), (4, 8192)):
-            pts = _boundary_polyline(n, samples)
-            xmin, xmax, ymin, ymax = _polyline_boxes(n, samples)
-            run = np.arange(samples) // _RUN
-            for end in (pts, np.roll(pts, -1)):
-                assert np.all((xmin[run] <= end.real) & (end.real <= xmax[run]))
-                assert np.all((ymin[run] <= end.imag) & (end.imag <= ymax[run]))
+        # 1027, 1500 and 8190 are multiples of neither 8 nor 64, so the last
+        # box of each level holds fewer segments
+        for size in (_RUN, _SUB):
+            for n, samples in ((3, 1024), (7, 1500), (4, 8192), (5, 1027), (3, 8190)):
+                pts = _boundary_polyline(n, samples)
+                boxes = _polyline_boxes(n, samples, size)
+                xmin, xmax, ymin, ymax = boxes
+                box = np.arange(samples) // size
+                for end in (pts, np.roll(pts, -1)):
+                    assert np.all((xmin[box] <= end.real) & (end.real <= xmax[box]))
+                    assert np.all((ymin[box] <= end.imag) & (end.imag <= ymax[box]))
+                # whole runs of boxes; those past the last segment are NaN
+                assert boxes.shape == (4, -(-samples // _RUN) * (_RUN // size))
+                assert np.isnan(boxes[:, box[-1] + 1 :]).all()
+                assert not np.isnan(boxes[:, : box[-1] + 1]).any()
+
+    @pytest.mark.parametrize("samples", [8192, 1027, 1500])
+    def test_both_levels_match_broadcast_reference(self, samples):
+        # blocks below _SUB_POINTS prune by runs only, larger ones by
+        # sub-boxes as well; both equal the all-segments test bit for bit
+        rng = np.random.default_rng(samples)
+        zs = rng.uniform(-1.1, 1.1, 300) + 1j * rng.uniform(-1.1, 1.1, 300)
+        for n in (3, 4, 6):
+            want = winding_by_broadcast(n, zs, samples, 1e-9, 512)
+            for block in (1, _SUB_POINTS - 1, _SUB_POINTS, 128, 512):
+                codes, margins = _winding_codes_many(n, zs, samples, 1e-9, block)
+                assert np.array_equal(codes, want[0])
+                assert np.array_equal(margins, want[1])
 
 
 class TestSingleCodePath:

@@ -460,6 +460,26 @@ class TestExactGradient:
             assert np.abs(np.diagonal(a[0])).max() == 0.0
 
 
+class TestRetraction:
+    def test_steps_only_the_matrices_off_the_level_set(self, monkeypatch):
+        # regression: each Newton step decomposed every matrix of the stack,
+        # also those already on the level set, which took most of a call at
+        # n = 40; the ones that step must get the bits they get alone
+        w = 1.0 + 0.0j
+        u = verify_module._haar_special_unitary_batch(6, 3, 8)
+        u[:2] = np.eye(6)  # p = 1: on the level set arg(w p) = 0 exactly
+        t = w * verify_module._diag_products(u)
+        eigh, sizes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        got_u, got_t = verify_module._retract(u, w, t, 1)
+        assert sizes == [6]
+        want_u, want_t = verify_module._retract(u[2:], w, t[2:], 1)
+        assert sizes == [6, 6]
+        assert np.array_equal(got_u[2:], want_u) and np.array_equal(got_t[2:], want_t)
+        assert np.array_equal(got_u[:2], u[:2]) and np.array_equal(got_t[:2], t[:2])
+        assert np.abs(np.angle(got_t[2:])).max() < np.abs(np.angle(t[2:])).max()
+
+
 class TestConstrainedMaxDomain:
     # regression: the former penalty ascent's own value overshot the maximum by up
     # to 2e-5 here; the reported value comes from a matrix on the ray
