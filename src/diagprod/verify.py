@@ -8,10 +8,10 @@ orthogonal) images.
 
 All runs are deterministic functions of their seed: per-trial and per-restart
 Haar samples come from counter-based streams keyed by ``derive_seed`` (a
-SplitMix64 mixer), drawn ``_CHUNK`` at a time by one sampling loop, and every
-report is built by one tally whose aggregates are order-independent (counts,
-the smallest margin, sorted detail records), so reports do not depend on
-``_CHUNK``.  Non-finite products count as failures.
+SplitMix64 mixer), drawn ``_chunk(n)`` at a time by one sampling loop, and
+every report is built by one tally whose aggregates are order-independent
+(counts, the smallest margin, sorted detail records), so reports do not depend
+on the chunk size.  Non-finite products count as failures.
 """
 
 from __future__ import annotations
@@ -164,15 +164,23 @@ class _Tally:
         )
 
 
+def _chunk(n: int) -> int:
+    """How many n x n matrices one batch call holds: at most ``_CHUNK``, and
+    at most about 640k entries a stack (10 MB complex), so 8192 for n <= 8
+    and 64 for n = 100; the batch cores hold a few such stacks at once."""
+    return min(_CHUNK, max(1, 640_000 // (n * n)))
+
+
 def _over_samples(sampler, n: int, seed: int, trials: int, *per_chunk):
     """The diagonal products of ``trials`` samples of ``sampler``, sample i
     from stream i, and the values of each function of ``per_chunk`` on them,
-    drawn at most ``_CHUNK`` samples at a time."""
+    drawn ``_chunk(n)`` samples at a time."""
     parts = [[] for _ in range(1 + len(per_chunk))]
-    for start in range(0, trials, _CHUNK):
-        mats = sampler(n, seed, min(_CHUNK, trials - start), start)
+    for start in range(0, trials, _chunk(n)):
+        mats = sampler(n, seed, min(_chunk(n), trials - start), start)
         for part, f in zip(parts, (_diag_products, *per_chunk)):
             part.append(f(mats))
+        del mats  # not held while the next chunk is drawn
     return [np.concatenate(part) for part in parts]
 
 
@@ -413,122 +421,114 @@ def _others(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([[i + (i >= k) for k in range(n)] for i in range(n - 1)]), 1.0 - np.eye(n)
 
 
-def _tangent(u: np.ndarray, w: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of the stack u: the generators a_f = q^H - q and
-    a_g = i (q^H + q) along which exp(s a) u raises Re(w p) and Im(w p)
-    fastest, p the diagonal product, each at rate sqrt(<a, a> / 2).  p moves
-    along X at rate tr(X q), q = w u diag(P), P_k the product of the diagonal
-    entries other than the k-th (gathered, not divided), and the diagonal of
-    q is dropped, as diagonal phase moves leave p unchanged."""
-    idx, off = _others(u.shape[-1])
-    q = u * (w * np.multiply.reduce(u.diagonal(0, -2, -1)[:, idx], axis=1))[:, None, :] * off
-    qh = q.conj().swapaxes(-1, -2)
-    return qh - q, 1j * (qh + q)
-
-
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x, y> = Re sum conj(x) y per matrix of two stacks of complex matrices."""
     return np.einsum("kij,kij->k", x.view(np.float64), y.view(np.float64))
 
 
-def _moved(v: np.ndarray, lam: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """exp(s a) u per matrix, given (lam, v) = eigh(i a) and b = v^H u."""
-    return v @ (np.exp(-1j * s[:, None] * lam)[:, :, None] * b)
-
-
-def _moved_products(v: np.ndarray, lam: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The diagonal products of exp(s_j a) u for each s_j of row s per matrix,
-    as in ``_moved``, from the entries sum_m v[i, m] exp(-i s_j lam_m) b[m, i]."""
-    diag = v * b.swapaxes(-1, -2)
-    return np.multiply.reduce(diag @ np.exp(-1j * lam[:, :, None] * s[:, None, :]), axis=1)
-
-
 def _log_tangent(u: np.ndarray, w: complex, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The generators of ``_tangent`` turned by 1/t = x + i y, t = w p: the
-    gradients of log|w p| and arg(w p), a_f' = x a_f - y a_g and
-    a_g' = x a_g + y a_f.  Their rates are those of ``_tangent`` over |p|."""
-    a_f, a_g = _tangent(u, w)
+    """Per matrix of the stack u, given t = w p, p the diagonal product: the
+    generators a_f' and a_g' along which exp(s a) u raises log|w p| and
+    arg(w p) fastest, each at rate sqrt(<a, a> / 2).  p moves along X at rate
+    tr(X q), q = w u diag(P), P_k the product of the diagonal entries other
+    than the k-th (gathered, not divided), with the diagonal of q dropped, as
+    diagonal phase moves leave p unchanged; so a_f = q^H - q and
+    a_g = i (q^H + q) raise Re(w p) and Im(w p), and turned by 1/t = x + i y,
+    a_f' = x a_f - y a_g and a_g' = x a_g + y a_f, their rates are relative
+    to |p|.  At t = 1 they are a_f and a_g."""
+    idx, off = _others(u.shape[-1])
+    q = u * (w * np.multiply.reduce(u.diagonal(0, -2, -1)[:, idx], axis=1))[:, None, :] * off
+    qh = q.conj().swapaxes(-1, -2)
+    a_f, a_g = qh - q, 1j * (qh + q)
     x, y = (1.0 / t).real[:, None, None], (1.0 / t).imag[:, None, None]
     return x * a_f - y * a_g, x * a_g + y * a_f
+
+
+def _best_move(u: np.ndarray, w: complex, a: np.ndarray, trial: np.ndarray, score):
+    """The line search: (exp(s a) u, w p of it, s, allowed) per matrix of the
+    stack u, s the step of its row of ``trial`` whose move ``score`` rates
+    highest (the first of equals).  One eigh gives (lam, v) = eigh(i a), and
+    with b = v^H u the diagonal product of exp(s_j a) u for every step s_j is
+    prod_i sum_m v[i, m] exp(-i s_j lam_m) b[m, i]; ``score`` maps those
+    values of w p to scores, -inf for a step it does not allow, and
+    ``allowed`` says whether any step was.  Only the picked matrix is built."""
+    lam, v = np.linalg.eigh(1j * a)
+    b = v.conj().swapaxes(-1, -2) @ u
+    moves = np.exp(-1j * lam[:, :, None] * trial[:, None, :])
+    scores = score(w * np.multiply.reduce((v * b.swapaxes(-1, -2)) @ moves, axis=1))
+    step = trial[np.arange(len(trial)), scores.argmax(axis=1)]
+    u_new = v @ (np.exp(-1j * step[:, None] * lam)[:, :, None] * b)
+    return u_new, w * _diag_products(u_new), step, scores.max(axis=1) > -np.inf
 
 
 def _retract(u: np.ndarray, w: complex, t: np.ndarray, steps: int):
     """(matrices, w p), given t = w p, after up to ``steps`` Newton steps on
     arg(w p) = 0: exp(sigma a_g') u, sigma = -arg(w p) / (<a_g', a_g'> / 2) 2^-k
-    with k = 0..7 giving the least |arg(w p)|, kept only where that is lower
-    (a_g' vanishes at p = 1).  A step is taken only by the matrices where
-    |arg(w p)| exceeds ``_ROUNDOFF``: they alone are decomposed and moved,
-    gathered unless every matrix needs the step."""
+    with k = 0..7 giving the least |arg(w p)| (``_best_move``), kept only where
+    that is lower (a_g' vanishes at p = 1).  Only the matrices where
+    |arg(w p)| exceeds ``_ROUNDOFF`` are gathered, decomposed and moved;
+    the stacks returned are new."""
+    u, t = u.copy(), t.copy()
     for _ in range(steps):
-        arg = np.angle(t)
-        rows = np.flatnonzero(np.abs(arg) > _ROUNDOFF)
+        rows = np.flatnonzero(np.abs(np.angle(t)) > _ROUNDOFF)
         if not rows.size:
             break
-        if rows.size < len(t):
-            u_need, t_need, arg = u[rows], t[rows], arg[rows]
-        else:
-            u_need, t_need = u, t
-        a_g = _log_tangent(u_need, w, t_need)[1]
-        sigma = -arg / np.maximum(0.5 * _inner(a_g, a_g), 1e-300)
-        trial = sigma[:, None] * _STEP_GRID
-        lam, v = np.linalg.eigh(1j * a_g)
-        b = v.conj().swapaxes(-1, -2) @ u_need
-        pick = np.abs(np.angle(w * _moved_products(v, lam, b, trial))).argmin(axis=1)
-        u_try = _moved(v, lam, b, np.take_along_axis(trial, pick[:, None], 1)[:, 0])
-        t_try = w * _diag_products(u_try)
+        arg = np.angle(t[rows])
+        a_g = _log_tangent(u[rows], w, t[rows])[1]
+        trial = (-arg / np.maximum(0.5 * _inner(a_g, a_g), 1e-300))[:, None] * _STEP_GRID
+        u_try, t_try = _best_move(u[rows], w, a_g, trial, lambda z: -np.abs(np.angle(z)))[:2]
         keep = np.abs(np.angle(t_try)) < np.abs(arg)
-        u, t = u.copy(), t.copy()
         u[rows[keep]], t[rows[keep]] = u_try[keep], t_try[keep]
     return u, t
 
 
 def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.ndarray:
     """Ascent of log|p| on the level set arg(w p) = 0, p the diagonal product,
-    for all matrices of the stack u in lockstep (stopped ones are masked),
-    each first moved onto it by six ``_retract`` steps.  With (a_f', a_g')
-    from ``_log_tangent``, a = a_f' - c a_g', c = <a_f', a_g'> / <a_g', a_g'>,
-    keeps arg(w p) fixed to first order and is the gradient of the merit
-    log|p| - c arg(w p); every rate is relative to |p|, so a start with
-    |p| near 0 (large n) moves as one near 1 does.  exp(s a / |a|) u,
-    |a| = sqrt(<a, a> / 2), is tried at s 2^-k, k = 0..7, in one call, and the
-    best that raises the merit by 1e-4 s |a| is taken (Armijo); where none
-    does, the next iteration starts from s / 256, and the restart stops below
-    1e-12.  The move is kept only if two ``_retract`` steps bring |arg(w p)|
-    to max(``_ROUNDOFF``, 1/100 of it before them, 1/2 of it before the
-    move), else u stays and the next s is a quarter of the step tried.  That
-    holds the path off p = 1 (the diagonal matrices, where a_g' vanishes),
-    which a bound of ``_TOL_CONSTRAINT`` does not for |theta| near it.  After
-    a kept move the next s is min(4 s, ``_STEP_INIT``), and a kept move that
-    gains at most ``_TOL_VALUE`` in log|p| stops its restart.  The ends are
-    retracted twice more."""
+    for all matrices of the stack u in lockstep, each first moved onto it by
+    six ``_retract`` steps.  With (a_f', a_g') from ``_log_tangent``,
+    a = a_f' - c a_g', c = <a_f', a_g'> / <a_g', a_g'>, keeps arg(w p) fixed
+    to first order and is the gradient of the merit log|p| - c arg(w p);
+    every rate is relative to |p|, so a start with |p| near 0 (large n) moves
+    as one near 1 does.  ``_best_move`` tries exp(s a / |a|) u,
+    |a| = sqrt(<a, a> / 2), at s 2^-k, k = 0..7, and takes the best that
+    raises the merit by 1e-4 s |a| (Armijo); where none does, the next
+    iteration starts from s / 256.  The move is kept only if two ``_retract``
+    steps bring |arg(w p)| to max(``_ROUNDOFF``, 1/100 of it before them, 1/2
+    of it before the move), else u stays and the next s is a quarter of the
+    step tried.  That holds the path off p = 1 (the diagonal matrices, where
+    a_g' vanishes), which a bound of ``_TOL_CONSTRAINT`` does not for |theta|
+    near it.  After a kept move the next s is min(4 s, ``_STEP_INIT``).  A
+    restart stops for good once its rate |a| falls below 1e-11 or its s below
+    1e-12, tested right after its tangent, or once a kept move gains at most
+    ``_TOL_VALUE`` in log|p|; only the live ones, listed by index, are
+    decomposed, moved and retracted.  The ends are retracted twice more."""
     u, t = _retract(u, w, w * _diag_products(u), 6)
-    s, live, rows = np.full(len(u), _STEP_INIT), np.ones(len(u), bool), np.arange(len(u))
+    s, live = np.full(len(u), _STEP_INIT), np.arange(len(u))
     for _ in range(cfg.max_iterations):
-        a_f, a_g = _log_tangent(u, w, t)
+        a_f, a_g = _log_tangent(u[live], w, t[live])
         c = _inner(a_f, a_g) / np.maximum(_inner(a_g, a_g), 1e-300)
         a = a_f - c[:, None, None] * a_g
         aa = _inner(a, a)
-        live &= (aa >= 2e-22) & (s >= 1e-12)  # a rate of at least 1e-11, a step of 1e-12
-        if not live.any():
+        go = (aa >= 2e-22) & (s[live] >= 1e-12)  # a rate of at least 1e-11, a step of 1e-12
+        live, c, a, norm = live[go], c[go], a[go], np.sqrt(0.5 * aa[go])
+        if not live.size:
             break
-        norm = np.where(live, np.sqrt(0.5 * aa), 1.0)
-        lam, v = np.linalg.eigh(1j * a / norm[:, None, None])
-        b = v.conj().swapaxes(-1, -2) @ u
-        trial = s[:, None] * _STEP_GRID
-        t_try = w * _moved_products(v, lam, b, trial)
-        value = np.log(np.abs(t)) - c * np.angle(t)
-        v_try = np.log(np.abs(t_try)) - c[:, None] * np.angle(t_try)
-        ok = live[:, None] & (v_try > value[:, None] + 1e-4 * norm[:, None] * trial)
-        hit, step = ok.any(axis=1), trial[rows, np.where(ok, v_try, -np.inf).argmax(axis=1)]
-        u_new = _moved(v, lam, b, step)
-        t_new = w * _diag_products(u_new)
+        t0, trial = t[live], s[live, None] * _STEP_GRID
+        floor = (np.log(np.abs(t0)) - c * np.angle(t0))[:, None] + 1e-4 * norm[:, None] * trial
+
+        def score(z):
+            merit = np.log(np.abs(z)) - c[:, None] * np.angle(z)
+            return np.where(merit > floor, merit, -np.inf)
+
+        u_new, t_new, step, hit = _best_move(u[live], w, a / norm[:, None, None], trial, score)
         u_new, t_ret = _retract(u_new, w, t_new, 2)
-        bound = np.maximum(0.01 * np.abs(np.angle(t_new)), 0.5 * np.abs(np.angle(t)))
+        bound = np.maximum(0.01 * np.abs(np.angle(t_new)), 0.5 * np.abs(np.angle(t0)))
         kept = hit & (np.abs(np.angle(t_ret)) <= np.maximum(bound, _ROUNDOFF))
-        live &= ~kept | (np.log(np.abs(t_ret / t)) > _TOL_VALUE)
-        u, t = np.where(kept[:, None, None], u_new, u), np.where(kept, t_ret, t)
-        s = np.where(kept, np.minimum(4.0 * step, _STEP_INIT), np.where(hit, step / 4.0, s / 256.0))
-    return _retract(u, w, w * _diag_products(u), 2)[0]
+        u[live[kept]], t[live[kept]] = u_new[kept], t_ret[kept]
+        missed = np.where(hit, step / 4.0, s[live] / 256.0)
+        s[live] = np.where(kept, np.minimum(4.0 * step, _STEP_INIT), missed)
+        live = live[~kept | (np.log(np.abs(t_ret / t0)) > _TOL_VALUE)]
+    return _retract(u, w, t, 2)[0]
 
 
 def constrained_max_numeric(
@@ -612,8 +612,8 @@ def verify_unit_disk(
     axis = np.linspace(-1.0, 1.0, grid)
     zs = (axis[:, None] + 1j * axis[None, :]).ravel()
     zs = zs[np.hypot(zs.real, zs.imag) <= 1.0]
-    # at most _CHUNK matrices at a time, as for the Haar samples
-    parts = np.array_split(zs, len(zs) // _CHUNK + 1)
+    # at most _chunk(n) matrices at a time, as for the Haar samples
+    parts = np.array_split(zs, len(zs) // _chunk(n) + 1)
     miss = np.concatenate([_diag_products(_build_u_z_many(n, p)) for p in parts]) - zs
     errs = np.hypot(miss.real, miss.imag)
     tally.fail_each(

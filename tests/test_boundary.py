@@ -206,8 +206,25 @@ class TestAlphaOfTheta:
         batch = np.array(others[:slot] + [theta] + others[slot:])
         assert alpha_of_theta(n, batch)[slot] == alpha_of_theta(n, theta)
 
+    def test_unbracketed_steps_stay_in_range(self, monkeypatch):
+        # the Newton steps run without a bracket: every iterate must stay in
+        # [0, pi], where the kernel is defined, from subnormal |theta| to pi
+        mags = np.concatenate([
+            np.linspace(0.0, np.pi, 4001),
+            np.logspace(-300, np.log10(np.pi), 2000),
+            np.pi - np.logspace(-16, -1, 500),
+        ])
+        kernel, seen = boundary._theta_and_slope, []
+        monkeypatch.setattr(
+            boundary, "_theta_and_slope", lambda n, b: seen.append(b) or kernel(n, b)
+        )
+        for n in (3, 4, 5, 12, 100, 10**6):
+            got = alpha_of_theta(n, np.concatenate([mags, -mags]))
+            assert np.abs(got).max() <= np.pi
+        assert all((0.0 <= b).all() and (b <= np.pi).all() for b in seen)
+
     def test_inversion_loops_skip_wrap_angle(self, monkeypatch):
-        # regression: each iteration re-wrapped angles that the bracket keeps
+        # regression: each iteration re-wrapped angles that the Newton steps keep
         # inside [-pi, pi], which made wrap_angle the bulk of an inversion
         calls = []
         unwrapped = boundary._wrap_angle

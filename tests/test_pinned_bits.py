@@ -2,12 +2,15 @@
 bounds on the memory that one batch call holds.
 
 The digests are SHA-256 of the raw bytes of Haar sample stacks and of the
-JSON of three reports (``to_dict``, which leaves ``elapsed`` out), recorded
-before the samplers and the winding core wrote their temporaries into
-per-call buffers.  A change to any bit of a sample or a report changes a
-digest, so a stream change has to update them on purpose.  The bits rest on
-numpy's float64 log, cos and sin, so the digests are checked only on the
-numpy release and machine type they were recorded on.
+JSON of reports (``to_dict``, which leaves ``elapsed`` out).  Those of the
+samples and the three Haar verifiers were recorded before the samplers and
+the winding core wrote their temporaries into per-call buffers; those of the
+constrained maxima before the ascent and its retraction shared one line
+search and before the ascent left its stopped restarts alone.  A change to
+any bit of a sample or a report changes a digest, so a stream change has to
+update them on purpose.  The bits rest on numpy's float64 log, cos and sin,
+so the digests are checked only on the numpy release and machine type they
+were recorded on.
 """
 
 import hashlib
@@ -18,7 +21,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diagprod import monte_carlo_containment, verify_so_interval, verify_unit_disk
+from diagprod import (
+    constrained_max_numeric,
+    monte_carlo_containment,
+    verify_so_interval,
+    verify_unit_disk,
+)
 from diagprod.matrices import (
     _haar_special_orthogonal_batch,
     _haar_special_unitary_batch,
@@ -80,6 +88,15 @@ REPORTS = {
     ),
 }
 
+# (n, theta, seed), from theta = 0 to the cusp and n = 3 to 20
+CONSTRAINED_MAX_DIGESTS = {
+    (3, 0.0, 0): "c417bfce78e57861eabe2e1fbd9c8577fc58fbd94988030b65954ec63203cdb3",
+    (4, 1e-3, 1): "22e69d37047598327e392e4ccb15cac7ebc71dd799c24da7ce72c9e6d0e243f8",
+    (6, -2.0, 2): "50b3097d8428118428cfb97f58a9e749e92198ea2db29f0e505e50cb20128147",
+    (12, 1e-3, 0): "eba1d7d466e55076e58784e551326ffc211d66e44587c2bcb212776483650845",
+    (20, 0.4, 5): "748dad13e60c409e87817bc14866d8989ea77e8ea63bff825d34d928ce98f89a",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -100,6 +117,14 @@ def test_report_bits(kind):
     assert sha256(json.dumps(run().to_dict(), sort_keys=True).encode()) == digest
 
 
+@recorded_here
+@pytest.mark.parametrize("n, theta, seed", sorted(CONSTRAINED_MAX_DIGESTS))
+def test_constrained_max_report_bits(n, theta, seed):
+    rep = constrained_max_numeric(n, theta, seed=seed)
+    digest = sha256(json.dumps(rep.to_dict(), sort_keys=True).encode())
+    assert digest == CONSTRAINED_MAX_DIGESTS[n, theta, seed]
+
+
 def traced_peak(call) -> int:
     """Peak bytes traced by tracemalloc during a second call (the first fills
     the caches of the boundary polyline and its boxes)."""
@@ -114,7 +139,9 @@ def traced_peak(call) -> int:
 
 class TestPeakMemory:
     """Bounds set about 10% above the peaks measured with per-call buffers:
-    4.06 MB and 2.19 MB, against 6.14 MB and 4.41 MB before them."""
+    4.06 MB and 2.19 MB, against 6.14 MB and 4.41 MB before them; and at
+    n = 100, with chunks sized by n^2, 26.4 MB for any trial count, against
+    52.5 MB for 128 trials in one chunk."""
 
     def test_monte_carlo_containment(self):
         assert traced_peak(lambda: monte_carlo_containment(6, 2048, 0)) <= 4.5e6
@@ -123,3 +150,8 @@ class TestPeakMemory:
         xy = np.random.default_rng(1).uniform(-1.1, 1.1, (128, 2))
         pts = xy[:, 0] + 1j * xy[:, 1]
         assert traced_peak(lambda: _winding_codes_many(4, pts, 8192, 1e-9)) <= 2.4e6
+
+    def test_monte_carlo_containment_at_large_n(self):
+        # regression: a chunk of up to 8192 matrices whatever n, so the peak
+        # grew with the trial count, about 0.4 MB a trial at n = 100
+        assert traced_peak(lambda: monte_carlo_containment(100, 128, 0)) <= 29e6

@@ -16,6 +16,7 @@ from diagprod import (
     OptimizerConfig,
     PreimageConvergenceError,
     alpha_of_theta,
+    build_u_theta,
     build_u_z,
     constrained_max_numeric,
     diag_product,
@@ -442,15 +443,16 @@ class TestExactGradient:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_central_differences(self, n, seed, theta):
-        # a_f is the gradient of Re(w p), a_g that of Im(w p); the log
-        # tangent's are those of log|w p| and arg(w p), differenced as
-        # log(w p / t) with t = w p at u, which stays off the branch cut
+        # at t = 1 the log tangent gives a_f, the gradient of Re(w p), and
+        # a_g, that of Im(w p); at t = w p those of log|w p| and arg(w p),
+        # differenced as log(w p / t), which stays off the branch cut
         u = haar_special_unitary(n, seed)
         w = complex(np.exp(-1j * theta))
         t = w * diag_product(u)
         pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
         fd, fd_log = fd_gradient(u, w, pairs), fd_gradient(u, w, pairs, lambda z: np.log(z / t))
-        gens = (*verify_module._tangent(u[None], w), *verify_module._log_tangent(u[None], w, np.array([t])))
+        tangent = verify_module._log_tangent
+        gens = [g for at in (1.0, t) for g in tangent(u[None], w, np.array([at]))]
         for a, want in zip(gens, (fd.real, fd.imag, fd_log.real, fd_log.imag)):
             exact = np.array([g for j, k in pairs for g in (-a[0, j, k].real, a[0, j, k].imag)])
             assert np.abs(exact - want).max() <= 1e-6 * (1.0 + np.linalg.norm(want))
@@ -478,6 +480,28 @@ class TestRetraction:
         assert np.array_equal(got_u[2:], want_u) and np.array_equal(got_t[2:], want_t)
         assert np.array_equal(got_u[:2], u[:2]) and np.array_equal(got_t[:2], t[:2])
         assert np.abs(np.angle(got_t[2:])).max() < np.abs(np.angle(t[2:])).max()
+
+
+class TestLiveRestarts:
+    def test_stopped_restarts_are_not_decomposed(self, monkeypatch):
+        # regression: each iteration decomposed and moved every restart of
+        # the stack, also those already stopped; two starts at the exact
+        # maximizer stop at once, so the ascent must decompose exactly what
+        # it decomposes without them, and return the others' bits unchanged
+        n, theta = 4, 0.7
+        w = complex(np.exp(-1j * theta))
+        u = verify_module._haar_special_unitary_batch(n, 3, 8)
+        u[:2] = build_u_theta(n, theta)
+        t = w * verify_module._diag_products(u[:2])
+        assert np.abs(np.angle(t)).max() <= verify_module._ROUNDOFF
+        eigh, sizes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        got = verify_module._level_set_ascent(u, w, OptimizerConfig())
+        with_them, sizes[:] = sizes[:], []
+        want = verify_module._level_set_ascent(u[2:], w, OptimizerConfig())
+        assert with_them == sizes
+        assert np.array_equal(got[2:], want)
+        assert np.array_equal(got[:2], u[:2])
 
 
 class TestConstrainedMaxDomain:
@@ -524,13 +548,13 @@ class TestConstrainedMaxDomain:
         # here; every iteration of the level-set ascent takes at least one
         # gradient, so fewer gradients than the cap mean it stopped on its own
         calls = [0]
-        tangent = verify_module._tangent
+        tangent = verify_module._log_tangent
 
-        def counted_tangent(u, w):
+        def counted_tangent(u, w, t):
             calls[0] += 1
-            return tangent(u, w)
+            return tangent(u, w, t)
 
-        monkeypatch.setattr(verify_module, "_tangent", counted_tangent)
+        monkeypatch.setattr(verify_module, "_log_tangent", counted_tangent)
         n, theta = 4, 1e-3
         rep = constrained_max_numeric(n, theta, seed=0)
         assert 0 < calls[0] < OptimizerConfig().max_iterations, calls
@@ -784,6 +808,13 @@ class TestChunkIndependence:
         whole = repr(run().to_dict())
         monkeypatch.setattr(verify_module, "_CHUNK", 7)
         assert repr(run().to_dict()) == whole
+
+    def test_large_n_chunk_is_sized_by_n_squared(self, monkeypatch):
+        # 70 trials at n = 100 take two chunks of at most 64 matrices
+        assert verify_module._chunk(100) == 64 and verify_module._chunk(8) == 8192
+        whole = repr(monte_carlo_containment(100, 70, seed=3).to_dict())
+        monkeypatch.setattr(verify_module, "_CHUNK", 3)
+        assert repr(monte_carlo_containment(100, 70, seed=3).to_dict()) == whole
 
 
 class TestDetailText:
