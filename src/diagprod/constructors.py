@@ -140,27 +140,34 @@ def build_homotopy_matrix(n: int, alpha, omega: float) -> np.ndarray:
     omega = float(omega)
     if not (-1e-12 <= omega <= w_hi + 1e-12):
         raise ValueError(f"omega must lie in [0, arctan(sqrt(n-1))] = [0, {w_hi!r}]")
-    return _homotopy_matrix(n, _check_finite("alpha", alpha), math.sin(omega) ** 2)
+    return _homotopy_matrices(n, [float(_check_finite("alpha", alpha))], [math.sin(omega) ** 2])[0]
 
 
-def _homotopy_matrix(n: int, alpha, q: float) -> np.ndarray:
-    """Homotopy member at mixing weight q = sin^2(omega) in [0, 1]: the
-    reflection I - (1 - e^{-i a}) v v^T along the unit vector
-    v = (sqrt(1-q), sqrt(q/(n-1)), ...), with its first column turned by
-    e^{i a}.  Every such member is special unitary, also past the boundary
-    weight q = (n-1)/n."""
-    a = float(_wrap_angle(alpha))
-    v = np.full(n, math.sqrt(q / (n - 1.0)))
-    v[0] = math.sqrt(1.0 - q)
-    u = np.eye(n, dtype=np.complex128) - (1.0 - np.exp(-1j * a)) * np.outer(v, v)
-    u[:, 0] *= np.exp(1j * a)
+def _homotopy_matrices(n: int, alpha: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Homotopy members at the finite angles ``alpha`` and mixing weights
+    q = sin^2(omega) in [0, 1] of two 1-D sequences, stacked: the reflection
+    I - (1 - e^{-i a}) v v^T along the unit vector v = (sqrt(1-q),
+    sqrt(q/(n-1)), ...), with its first column turned by e^{i a}.  Every such
+    member is special unitary, also past the boundary weight q = (n-1)/n.
+    Only elementwise operations are used, so slice i has the same bits
+    whatever else the stack holds."""
+    a, q = _wrap_angle(np.asarray(alpha, np.float64)), np.asarray(q, np.float64)
+    v = np.repeat(np.sqrt(q / (n - 1.0))[:, None], n, axis=1)
+    v[:, 0] = np.sqrt(1.0 - q)
+    u = np.eye(n) - (1.0 - np.exp(-1j * a))[:, None, None] * (v[:, :, None] * v[:, None, :])
+    u[:, :, 0] *= np.exp(1j * a)[:, None]
     return u
 
 
 def homotopy_diag_product(n: int, alpha, omega):
-    """Closed-form diagonal product of :func:`build_homotopy_matrix`:
+    """Closed-form diagonal product of the homotopy member at angle ``alpha``
+    and mixing angle ``omega``:
 
         e^{i a} [1 - (1-e^{-i a}) cos^2 w] [1 - (1-e^{-i a}) sin^2 w / (n-1)]^{n-1}.
+
+    It is evaluated at any finite ``omega``, through q = sin^2(omega) in
+    [0, 1], while :func:`build_homotopy_matrix` builds the member only for
+    omega in [0, arctan(sqrt(n-1))]; on that range the two agree.
     """
     n, alpha = _check_n(n, 2), _check_finite("alpha", alpha)
     q = np.sin(np.asarray(_check_finite("omega", omega), np.float64)) ** 2

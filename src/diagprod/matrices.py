@@ -154,31 +154,35 @@ def diag_product(m) -> complex:
     return complex(_diag_products(_square(m)))
 
 
+def _unitarity_errors(mats: np.ndarray) -> np.ndarray:
+    """The Gram error, the max-entry norm of  m†m - I, and |det m - 1| of each
+    matrix of a stack (or of one matrix), along a last axis of length 2.  A
+    matrix with a non-finite entry has a non-finite diagonal Gram entry, so
+    its Gram error is inf or NaN and fails every bound, and no floating-point
+    warning is raised for it."""
+    a = np.asarray(mats, np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = a.conj().swapaxes(-1, -2) @ a
+        gram -= np.eye(a.shape[-1])
+        return np.stack([np.abs(gram).max(axis=(-2, -1)), np.abs(np.linalg.det(a) - 1.0)], -1)
+
+
 def is_unitary(m, tol: float = 1e-10) -> bool:
     """True iff the max-entry norm of  m†m - I  is at most ``tol``."""
-    tol = _check_tol(tol)
-    a = _square(m).astype(np.complex128, copy=False)
-    gram = a.conj().T @ a
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return bool(np.abs(gram).max() <= tol)
+    tol, a = _check_tol(tol), _square(m)
+    return bool(_unitarity_errors(a)[0] <= tol)
 
 
 def is_special_unitary(m, tol: float = 1e-10) -> bool:
     """Unitary with determinant 1 within ``tol`` (LU-based determinant)."""
-    tol = _check_tol(tol)
-    a = _square(m).astype(np.complex128, copy=False)
-    if not is_unitary(a, tol):
-        return False
-    return bool(abs(np.linalg.det(a) - 1.0) <= tol)
+    tol, a = _check_tol(tol), _square(m)
+    return bool(_unitarity_errors(a).max() <= tol)
 
 
 def is_special_orthogonal(m, tol: float = 1e-10) -> bool:
     """Real (all imaginary parts within ``tol``) and special unitary."""
-    tol = _check_tol(tol)
-    a = _square(m)
-    if np.abs(np.asarray(a).imag).max() > tol:
-        return False
-    return is_special_unitary(a, tol)
+    tol, a = _check_tol(tol), _square(m)
+    return bool(np.abs(a.imag).max() <= tol and _unitarity_errors(a).max() <= tol)
 
 
 def _check_pair(n: int, j: int, k: int) -> int:

@@ -8,10 +8,11 @@ orthogonal) images.
 
 All runs are deterministic functions of their seed: per-trial and per-restart
 Haar samples come from counter-based streams keyed by ``derive_seed`` (a
-SplitMix64 mixer), drawn ``_chunk(n)`` at a time by one sampling loop, and
-every report is built by one tally whose aggregates are order-independent
-(counts, the smallest margin, sorted detail records), so reports do not depend
-on the chunk size.  Non-finite products count as failures.
+SplitMix64 mixer).  Every stack of matrices a verifier checks (Haar samples,
+disk-grid blocks, rebuilt preimages) is built ``_chunk(n)`` matrices at a
+time by one chunk loop, and every report is built by one tally whose
+aggregates are order-independent (counts, the smallest margin, sorted detail
+records), so reports do not depend on the chunk size.  Non-finite products count as failures.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import numpy as np
 
 from .boundary import _invert_theta, _wrap_angle
 from .boundary import _ipow, _radius_from_alpha, _radius_many
-from .constructors import omega_max, _build_u_z_many, _homotopy_matrix, _homotopy_product
+from .constructors import omega_max, _build_u_z_many, _homotopy_matrices, _homotopy_product
 from .matrices import (
     derive_seed,
     diag_product,
-    is_special_unitary,
     _check_finite,
     _check_n,
     _check_tol,
@@ -37,6 +37,7 @@ from .matrices import (
     _haar_special_orthogonal_batch,
     _haar_special_unitary_batch,
     _haar_unitary_batch,
+    _unitarity_errors,
 )
 from .region import so_interval, _classify_su_many
 
@@ -165,23 +166,31 @@ class _Tally:
 
 
 def _chunk(n: int) -> int:
-    """How many n x n matrices one batch call holds: at most ``_CHUNK``, and
-    at most about 640k entries a stack (10 MB complex), so 8192 for n <= 8
-    and 64 for n = 100; the batch cores hold a few such stacks at once."""
+    """How many n x n matrices one stack of ``_over_chunks`` holds: the Haar
+    samples of the three Haar verifiers, the 2x2-block matrices of the disk
+    grid and the rebuilt homotopy matrices of the preimage check.  At most
+    ``_CHUNK``, and at most about 640k entries a stack (10 MB complex), so
+    8192 for n <= 8 and 64 for n = 100; building and checking a stack holds
+    a few such stacks at once."""
     return min(_CHUNK, max(1, 640_000 // (n * n)))
 
 
-def _over_samples(sampler, n: int, seed: int, trials: int, *per_chunk):
-    """The diagonal products of ``trials`` samples of ``sampler``, sample i
-    from stream i, and the values of each function of ``per_chunk`` on them,
-    drawn ``_chunk(n)`` samples at a time."""
+def _over_chunks(build, n: int, count: int, *per_chunk):
+    """The diagonal products of ``count`` matrices, and the values of each
+    function of ``per_chunk`` on them, built ``_chunk(n)`` at a time:
+    ``build(size, start)`` stacks matrices ``start`` to ``start + size - 1``.
+    Every stack a verifier checks comes from here: the Haar samples of
+    ``monte_carlo_containment``, ``verify_unit_disk`` and
+    ``verify_so_interval``, the disk grid's 2x2-block matrices and the
+    homotopy matrices that ``verify_preimage`` rebuilds.  For ``count`` 0
+    each result is an empty array."""
     parts = [[] for _ in range(1 + len(per_chunk))]
-    for start in range(0, trials, _chunk(n)):
-        mats = sampler(n, seed, min(_chunk(n), trials - start), start)
+    for start in range(0, count, _chunk(n)):
+        mats = build(min(_chunk(n), count - start), start)
         for part, f in zip(parts, (_diag_products, *per_chunk)):
             part.append(f(mats))
-        del mats  # not held while the next chunk is drawn
-    return [np.concatenate(part) for part in parts]
+        del mats  # not held while the next chunk is built
+    return [np.concatenate(part) if part else np.zeros(0) for part in parts]
 
 
 def monte_carlo_containment(
@@ -192,7 +201,7 @@ def monte_carlo_containment(
     n, trials, seed = _check_n(n, 1), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
     tol = _check_tol(tol)
     tally = _Tally()
-    (zs,) = _over_samples(_haar_special_unitary_batch, n, seed, trials)
+    (zs,) = _over_chunks(functools.partial(_haar_special_unitary_batch, n, seed), n, trials)
     codes, margins = _classify_su_many(n, zs, tol)
     errors = -tol - margins
     tally.fail_each(codes == -1, lambda i: f"trial={i} z={complex(zs[i])!r}", margins, -tol, errors)
@@ -356,7 +365,7 @@ def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
     alpha, q, best, stages, outside = _preimage_many(n, np.array([z]), tol)
     if outside[0]:
         raise ValueError(f"target {z!r} lies outside the diagonal-product image")
-    u = _homotopy_matrix(n, alpha[0], q[0])
+    u = _homotopy_matrices(n, alpha, q)[0]
     residual = float(best[0]) if best[0] > tol else abs(diag_product(u) - z)
     if residual > tol:
         raise PreimageConvergenceError(residual, stages[0])
@@ -390,17 +399,23 @@ def verify_preimage(
     n: int, trials: int, seed: int = 0, tol: float = 1e-8
 ) -> VerificationReport:
     """Solve ``trials`` random interior targets in one call of the preimage core
-    and self-check every output: residual within ``tol``, special unitarity at 1e-10."""
+    and self-check every output: residual within ``tol``, special unitarity at 1e-10.
+    Every target's matrix is rebuilt and checked, one chunk at a time; an
+    unsolved target keeps the core's residual and fails."""
     n, trials, seed = _check_n(n, 3), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
     tol = _check_tol(tol)
     tally = _Tally()
     points = _interior_points(n, trials, seed)
-    alpha, q, residuals, _, _ = _preimage_many(n, np.array(points, np.complex128), tol)
-    ok = np.zeros(trials, bool)
-    for i in np.flatnonzero(residuals <= tol):
-        u = _homotopy_matrix(n, alpha[i], q[i])
-        residuals[i] = abs(diag_product(u) - points[i])
-        ok[i] = residuals[i] <= tol and is_special_unitary(u, 1e-10)
+    zs = np.array(points, np.complex128)
+    alpha, q, residuals, _, _ = _preimage_many(n, zs, tol)
+
+    def build(size, i):
+        return _homotopy_matrices(n, alpha[i : i + size], q[i : i + size])
+
+    products, su_error = _over_chunks(build, n, trials, lambda u: _unitarity_errors(u).max(-1))
+    miss, solved = products - zs, residuals <= tol
+    residuals[solved] = np.hypot(miss.real, miss.imag)[solved]  # Python's abs, bit for bit
+    ok = solved & (residuals <= tol) & (su_error <= 1e-10)
     worst = float((tol - residuals).min())
     tally.fail_each(~ok, lambda i: f"point={i} z={points[i]!r}", residuals, tol, residuals - tol)
     label = f"worst residual over {trials} points"
@@ -589,7 +604,8 @@ def verify_unit_disk(
     n, trials, seed = _check_n(n, 2), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
     grid = _check_n(grid, 2, "grid")
     tally = _Tally()
-    zs, offmax = _over_samples(_haar_unitary_batch, n, seed, trials, _off_diagonal_max)
+    haar = functools.partial(_haar_unitary_batch, n, seed)
+    zs, offmax = _over_chunks(haar, n, trials, _off_diagonal_max)
     mods = np.abs(zs)
     # a non-finite modulus is recorded as inf, so it fails the bound
     mods[~np.isfinite(mods)] = np.inf
@@ -612,9 +628,8 @@ def verify_unit_disk(
     axis = np.linspace(-1.0, 1.0, grid)
     zs = (axis[:, None] + 1j * axis[None, :]).ravel()
     zs = zs[np.hypot(zs.real, zs.imag) <= 1.0]
-    # at most _chunk(n) matrices at a time, as for the Haar samples
-    parts = np.array_split(zs, len(zs) // _chunk(n) + 1)
-    miss = np.concatenate([_diag_products(_build_u_z_many(n, p)) for p in parts]) - zs
+    (products,) = _over_chunks(lambda size, i: _build_u_z_many(n, zs[i : i + size]), n, len(zs))
+    miss = products - zs
     errs = np.hypot(miss.real, miss.imag)
     tally.fail_each(
         errs > 1e-12, lambda i: f"disk grid z={complex(zs[i])!r}", errs, 0.0, errs - 1e-12
@@ -663,7 +678,7 @@ def verify_so_interval(
         err = abs(got - want)
         tally.add(CheckRecord(name, got, want, err), err > 1e-9)
 
-    (pds,) = _over_samples(_haar_special_orthogonal_batch, n, seed, trials)
+    (pds,) = _over_chunks(functools.partial(_haar_special_orthogonal_batch, n, seed), n, trials)
     pds = np.real(pds)
     # a non-finite product is recorded as inf, so it lies outside the interval
     pds[~np.isfinite(pds)] = np.inf

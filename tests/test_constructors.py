@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagprod.boundary as boundary_module
-from diagprod.constructors import _build_u_z_many, _homotopy_matrix, _homotopy_product
+from diagprod.constructors import _build_u_z_many, _homotopy_matrices, _homotopy_product
 
 from diagprod import (
     ExtremalDecomposition,
@@ -206,7 +206,7 @@ class TestHomotopyFamily:
     def test_members_past_the_fold_are_special_unitary(self):
         for n in (3, 5, 9):
             for q in (0.0, (n - 1.0) / n, 0.95, 1.0):
-                u = _homotopy_matrix(n, 2.1, q)
+                u = _homotopy_matrices(n, np.array([2.1]), np.array([q]))[0]
                 assert is_special_unitary(u, 1e-12)
                 assert abs(diag_product(u) - _homotopy_product(n, 2.1, q)[0]) <= 1e-12
 

@@ -437,6 +437,32 @@ class TestNonFiniteAngles:
             call(x)
 
 
+@st.composite
+def _haar_with_one_bad_entry(draw, sample, least=1):
+    """A Haar sample, n = least..6, with one entry set to +inf, -inf or NaN."""
+    n = draw(st.integers(least, 6))
+    u = sample(n, draw(st.integers(0, 2**32)))
+    u[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(_NON_FINITE)
+    return u
+
+
+class TestNonFiniteMatrices:
+    # regression: an infinite entry raised "invalid value encountered in
+    # matmul" in each predicate, and in recognize_extremal before its check
+    @given(u=_haar_with_one_bad_entry(haar_unitary))
+    @settings(max_examples=60, deadline=None)
+    def test_predicates_are_false(self, u):
+        assert not is_unitary(u)
+        assert not is_special_unitary(u)
+        assert not is_special_orthogonal(u.real)
+
+    @given(u=_haar_with_one_bad_entry(haar_special_unitary, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_recognition_rejects(self, u):
+        with pytest.raises(ValueError, match="not special unitary"):
+            recognize_extremal(u)
+
+
 class TestGenerators:
     def test_footnote_matrices(self):
         x12 = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]

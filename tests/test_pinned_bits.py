@@ -1,16 +1,20 @@
-"""Pins of the exact bits of the Haar samplers and the Haar verifiers, and
-bounds on the memory that one batch call holds.
+"""Pins of the exact bits of the Haar samplers, the verifiers, the preimage
+solver and the homotopy family, and bounds on the memory that one batch call
+holds.
 
-The digests are SHA-256 of the raw bytes of Haar sample stacks and of the
+The digests are SHA-256 of the raw bytes of matrices and stacks and of the
 JSON of reports (``to_dict``, which leaves ``elapsed`` out).  Those of the
 samples and the three Haar verifiers were recorded before the samplers and
 the winding core wrote their temporaries into per-call buffers; those of the
 constrained maxima before the ascent and its retraction shared one line
-search and before the ascent left its stopped restarts alone.  A change to
-any bit of a sample or a report changes a digest, so a stream change has to
-update them on purpose.  The bits rest on numpy's float64 log, cos and sin,
-so the digests are checked only on the numpy release and machine type they
-were recorded on.
+search and before the ascent left its stopped restarts alone; those of the
+preimage reports, of ``preimage`` and of ``build_homotopy_matrix`` before the
+homotopy matrices were built as stacks, the preimage verifier checked them
+one chunk at a time and the unitarity predicates shared one stack core.  A
+change to any bit of a sample, a matrix or a report changes a digest, so a
+stream change has to update them on purpose.  The bits rest on numpy's
+float64 log, cos and sin, so the digests are checked only on the numpy
+release and machine type they were recorded on.
 """
 
 import hashlib
@@ -22,8 +26,13 @@ import numpy as np
 import pytest
 
 from diagprod import (
+    build_homotopy_matrix,
     constrained_max_numeric,
+    gamma,
     monte_carlo_containment,
+    omega_max,
+    preimage,
+    verify_preimage,
     verify_so_interval,
     verify_unit_disk,
 )
@@ -98,6 +107,40 @@ CONSTRAINED_MAX_DIGESTS = {
 }
 
 
+# verify_preimage(n, 256, 5)
+PREIMAGE_REPORT_DIGESTS = {
+    3: "73928a83af76df84d39dfa73944ff1284732b11ac0b44460ee5fda026115ae20",
+    4: "045584251e72640a91892109f3d51e8907ecaef7af7efb5889d99fbb8815661e",
+    8: "5ba10c681f1bf1b52bd8b17bc26c96870068c980561690f24fec2e06b6b17a0d",
+}
+
+# preimage(n, z, 1e-9) for targets (n, z) named by their kind
+PREIMAGE_TARGETS = {
+    "interior-3": (3, lambda: 0.5 * gamma(3, 2.0)),
+    "interior-5": (5, lambda: 0.7 * gamma(5, -1.1)),
+    "real": (4, lambda: 0.6 + 0j),
+    "near-boundary": (4, lambda: (1.0 - 1e-6) * gamma(4, 1.3)),
+    "near-cusp": (3, lambda: (1.0 - 4.6e-3) * gamma(3, -0.0164)),
+    "origin": (6, lambda: 0j),
+}
+PREIMAGE_DIGESTS = {
+    "interior-3": "21cbe002555fbbe140fc0fdf07719ecce34ed9689e630787acb60c5cbd2d22a8",
+    "interior-5": "69abb2e1ba4453193ee97d04c6a69e1de15c7fba2b6b83cd05a499d4bbf2788b",
+    "real": "babe7eae6ad08bed898d0d32a19269f9123bd381b6fab98c2673ab04a395dbe8",
+    "near-boundary": "a63f00ee5a0fa47d4433a419297a661c7dde02cacaee5121a3944f23e5f690f9",
+    "near-cusp": "57a22065f1e6681825f08f11f13f99c96c9a4c770ac2ee889bc3934febc3bba9",
+    "origin": "8a9fc650afc562836d7828bdf089ee9b47cac5014d5375e2ce05878e47c9088b",
+}
+
+# build_homotopy_matrix(n, alpha, omega), omega None for omega_max(n)
+HOMOTOPY_DIGESTS = {
+    (2, -np.pi, 0.2): "f407e487652a35459187005a52ca820ec856833f958e87d4619ccb16edf71000",
+    (3, 0.7, 0.3): "36157ae8c8b7c61efd52718c49ecb258d1234ab83a36bc36817832c044a58a1d",
+    (4, -2.5, None): "0d469fed97db9780184f5951effa14dc1812a526e34ba59842b7ab4651a934b9",
+    (6, np.pi, 0.0): "b2631e1257263ad379ab7f5a6191cea90b22dfba16eb215ebb1d5f99bf0cca61",
+    (8, 1e-3, 0.5): "a363302bc4faeae1e26e4edd0fa0a983d950ec3ed984a6b97c8de5512167662a",
+}
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -125,6 +168,27 @@ def test_constrained_max_report_bits(n, theta, seed):
     assert digest == CONSTRAINED_MAX_DIGESTS[n, theta, seed]
 
 
+@recorded_here
+@pytest.mark.parametrize("n", sorted(PREIMAGE_REPORT_DIGESTS))
+def test_preimage_report_bits(n):
+    digest = sha256(json.dumps(verify_preimage(n, 256, 5).to_dict(), sort_keys=True).encode())
+    assert digest == PREIMAGE_REPORT_DIGESTS[n]
+
+
+@recorded_here
+@pytest.mark.parametrize("kind", sorted(PREIMAGE_DIGESTS))
+def test_preimage_bits(kind):
+    n, target = PREIMAGE_TARGETS[kind]
+    assert sha256(preimage(n, target(), 1e-9).tobytes()) == PREIMAGE_DIGESTS[kind]
+
+
+@recorded_here
+@pytest.mark.parametrize("n, alpha, omega", sorted(HOMOTOPY_DIGESTS, key=str))
+def test_homotopy_matrix_bits(n, alpha, omega):
+    u = build_homotopy_matrix(n, alpha, omega_max(n) if omega is None else omega)
+    assert sha256(u.tobytes()) == HOMOTOPY_DIGESTS[n, alpha, omega]
+
+
 def traced_peak(call) -> int:
     """Peak bytes traced by tracemalloc during a second call (the first fills
     the caches of the boundary polyline and its boxes)."""
@@ -141,7 +205,8 @@ class TestPeakMemory:
     """Bounds set about 10% above the peaks measured with per-call buffers:
     4.06 MB and 2.19 MB, against 6.14 MB and 4.41 MB before them; and at
     n = 100, with chunks sized by n^2, 26.4 MB for any trial count, against
-    52.5 MB for 128 trials in one chunk."""
+    52.5 MB for 128 trials in one chunk.  The preimage check at n = 100 reads
+    30.8 MB, against 0.7 MB when it built and checked one matrix at a time."""
 
     def test_monte_carlo_containment(self):
         assert traced_peak(lambda: monte_carlo_containment(6, 2048, 0)) <= 4.5e6
@@ -155,3 +220,8 @@ class TestPeakMemory:
         # regression: a chunk of up to 8192 matrices whatever n, so the peak
         # grew with the trial count, about 0.4 MB a trial at n = 100
         assert traced_peak(lambda: monte_carlo_containment(100, 128, 0)) <= 29e6
+
+    def test_preimage_check_at_large_n(self):
+        # the rebuilt preimages are checked one chunk at a time, one stack of
+        # _chunk(n) matrices as for the Haar samples: 30.8 MB
+        assert traced_peak(lambda: verify_preimage(100, 200, 0)) <= 34e6

@@ -33,7 +33,7 @@ from diagprod import (
     verify_unit_disk,
     verify_so_interval,
 )
-from diagprod.constructors import _build_u_z_many
+from diagprod.constructors import _build_u_z_many, _homotopy_matrices
 
 
 class TestMonteCarloContainment:
@@ -815,6 +815,23 @@ class TestChunkIndependence:
         whole = repr(monte_carlo_containment(100, 70, seed=3).to_dict())
         monkeypatch.setattr(verify_module, "_CHUNK", 3)
         assert repr(monte_carlo_containment(100, 70, seed=3).to_dict()) == whole
+
+    def test_preimages_are_rebuilt_one_stack_per_chunk(self, monkeypatch):
+        # regression: each solved target was rebuilt and checked on its own,
+        # 130 scalar builds here; 130 targets at n = 100 take three chunks
+        calls = []
+
+        def counted(n, alpha, q):
+            calls.append(len(alpha))
+            return _homotopy_matrices(n, alpha, q)
+
+        monkeypatch.setattr(verify_module, "_homotopy_matrices", counted)
+        whole = verify_preimage(100, 130)
+        assert whole.passed
+        assert calls == [64, 64, 2] and verify_module._chunk(100) == 64
+        monkeypatch.setattr(verify_module, "_CHUNK", 7)
+        assert repr(verify_preimage(100, 130).to_dict()) == repr(whole.to_dict())
+        assert calls[3:] == [7] * 18 + [4]
 
 
 class TestDetailText:
