@@ -182,15 +182,15 @@ def _over_chunks(build, n: int, count: int, *per_chunk):
     Every stack a verifier checks comes from here: the Haar samples of
     ``monte_carlo_containment``, ``verify_unit_disk`` and
     ``verify_so_interval``, the disk grid's 2x2-block matrices and the
-    homotopy matrices that ``verify_preimage`` rebuilds.  For ``count`` 0
-    each result is an empty array."""
+    homotopy matrices that ``verify_preimage`` rebuilds; ``count`` is at
+    least 1."""
     parts = [[] for _ in range(1 + len(per_chunk))]
     for start in range(0, count, _chunk(n)):
         mats = build(min(_chunk(n), count - start), start)
         for part, f in zip(parts, (_diag_products, *per_chunk)):
             part.append(f(mats))
         del mats  # not held while the next chunk is built
-    return [np.concatenate(part) if part else np.zeros(0) for part in parts]
+    return [np.concatenate(part) for part in parts]
 
 
 def monte_carlo_containment(
@@ -424,10 +424,17 @@ def verify_preimage(
 
 
 _STEP_GRID = 0.5 ** np.arange(8)  # one call tries the steps s, s/2, ..., s/128
-_ROUNDOFF = 1e-15  # |arg(w p)| at which a matrix counts as on the level set
+_ROUNDOFF = 1e-15  # the least |arg(w p)| and gain in log|p| that count as nonzero
 _STEP_INIT = 0.5  # the longest step of a line search
-_TOL_VALUE = 1e-12  # gain in log|p| at or below which a kept move ends its restart
 _TOL_CONSTRAINT = 1e-6  # |Im(w p)| above which a restart's end counts as infeasible
+
+
+def _roundoff(n: int) -> float:
+    """The rounding error of log(w p), p a product of n diagonal entries: n
+    units in the last place of 1, and at least ``_ROUNDOFF``.  |arg(w p)|
+    this small counts as on the level set, and a gain in log|p| this small
+    as none."""
+    return max(_ROUNDOFF, n * 2.0**-52)
 
 
 @functools.lru_cache(maxsize=None)
@@ -481,11 +488,11 @@ def _retract(u: np.ndarray, w: complex, t: np.ndarray, steps: int):
     arg(w p) = 0: exp(sigma a_g') u, sigma = -arg(w p) / (<a_g', a_g'> / 2) 2^-k
     with k = 0..7 giving the least |arg(w p)| (``_best_move``), kept only where
     that is lower (a_g' vanishes at p = 1).  Only the matrices where
-    |arg(w p)| exceeds ``_ROUNDOFF`` are gathered, decomposed and moved;
+    |arg(w p)| exceeds ``_roundoff(n)`` are gathered, decomposed and moved;
     the stacks returned are new."""
-    u, t = u.copy(), t.copy()
+    u, t, eps = u.copy(), t.copy(), _roundoff(u.shape[-1])
     for _ in range(steps):
-        rows = np.flatnonzero(np.abs(np.angle(t)) > _ROUNDOFF)
+        rows = np.flatnonzero(np.abs(np.angle(t)) > eps)
         if not rows.size:
             break
         arg = np.angle(t[rows])
@@ -508,15 +515,18 @@ def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.nda
     |a| = sqrt(<a, a> / 2), at s 2^-k, k = 0..7, and takes the best that
     raises the merit by 1e-4 s |a| (Armijo); where none does, the next
     iteration starts from s / 256.  The move is kept only if two ``_retract``
-    steps bring |arg(w p)| to max(``_ROUNDOFF``, 1/100 of it before them, 1/2
-    of it before the move), else u stays and the next s is a quarter of the
-    step tried.  That holds the path off p = 1 (the diagonal matrices, where
-    a_g' vanishes), which a bound of ``_TOL_CONSTRAINT`` does not for |theta|
-    near it.  After a kept move the next s is min(4 s, ``_STEP_INIT``).  A
+    steps bring |arg(w p)| to max(``_roundoff(n)``, 1/100 of it before them,
+    1/2 of it before the move), else u stays and the next s is a quarter of
+    the step tried.  That holds the path off p = 1 (the diagonal matrices,
+    where a_g' vanishes), which a bound of ``_TOL_CONSTRAINT`` does not for
+    |theta| near it.  After a kept move the next s is min(4 s, ``_STEP_INIT``).  A
     restart stops for good once its rate |a| falls below 1e-11 or its s below
     1e-12, tested right after its tangent, or once a kept move gains at most
-    ``_TOL_VALUE`` in log|p|; only the live ones, listed by index, are
-    decomposed, moved and retracted.  The ends are retracted twice more."""
+    ``_roundoff(n)`` in log|p|, that is nothing: convergence is linear, so a
+    restart stopped at a gain of some tolerance can lie several times that
+    below its maximum.  Only the live ones, listed by index, are decomposed,
+    moved and retracted.  The ends are retracted twice more."""
+    eps = _roundoff(u.shape[-1])
     u, t = _retract(u, w, w * _diag_products(u), 6)
     s, live = np.full(len(u), _STEP_INIT), np.arange(len(u))
     for _ in range(cfg.max_iterations):
@@ -538,11 +548,11 @@ def _level_set_ascent(u: np.ndarray, w: complex, cfg: OptimizerConfig) -> np.nda
         u_new, t_new, step, hit = _best_move(u[live], w, a / norm[:, None, None], trial, score)
         u_new, t_ret = _retract(u_new, w, t_new, 2)
         bound = np.maximum(0.01 * np.abs(np.angle(t_new)), 0.5 * np.abs(np.angle(t0)))
-        kept = hit & (np.abs(np.angle(t_ret)) <= np.maximum(bound, _ROUNDOFF))
+        kept = hit & (np.abs(np.angle(t_ret)) <= np.maximum(bound, eps))
         u[live[kept]], t[live[kept]] = u_new[kept], t_ret[kept]
         missed = np.where(hit, step / 4.0, s[live] / 256.0)
         s[live] = np.where(kept, np.minimum(4.0 * step, _STEP_INIT), missed)
-        live = live[~kept | (np.log(np.abs(t_ret / t0)) > _TOL_VALUE)]
+        live = live[~kept | (np.log(np.abs(t_ret / t0)) > eps)]
     return _retract(u, w, t, 2)[0]
 
 
@@ -600,9 +610,10 @@ def verify_unit_disk(
     """Unit-disk image checks for U(n): Haar products stay in the closed disk,
     the 2x2-block construction reproduces every grid target in the disk, and
     any sample with a non-negligible off-diagonal entry has product modulus
-    strictly below 1."""
+    strictly below 1.  ``grid`` is at least 3, so the ``grid`` x ``grid``
+    grid on [-1, 1]^2 has a point in the disk (grid 2 has only the corners)."""
     n, trials, seed = _check_n(n, 2), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
-    grid = _check_n(grid, 2, "grid")
+    grid = _check_n(grid, 3, "grid")
     tally = _Tally()
     haar = functools.partial(_haar_unitary_batch, n, seed)
     zs, offmax = _over_chunks(haar, n, trials, _off_diagonal_max)
@@ -634,7 +645,7 @@ def verify_unit_disk(
     tally.fail_each(
         errs > 1e-12, lambda i: f"disk grid z={complex(zs[i])!r}", errs, 0.0, errs - 1e-12
     )
-    top = float(errs.max(initial=0.0))
+    top = float(errs.max())
     label = "max |product - z| over disk grid"
     tally.add(CheckRecord(label, top, 0.0, max(0.0, top - 1e-12)), False, 1e-12 - top)
     return tally.report("unit_disk", n, trials, seed)

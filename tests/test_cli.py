@@ -301,6 +301,11 @@ class TestVerifyCommand:
         )
         assert rc == 0
 
+    def test_disk_grid_without_a_point_in_the_disk_exits_2(self, capsys):
+        # regression: --grid 2 checked no grid target and exited 0
+        assert main(["verify", "--kind", "disk", "--n", "3", "--trials", "5", "--grid", "2"]) == 2
+        assert "grid must be an integer >= 3, got 2" in capsys.readouterr().err
+
     def test_preimage_kind(self, tmp_path):
         out = tmp_path / "v.json"
         rc = main(

@@ -107,21 +107,30 @@ def stewart_q_reference(v):
     return q * f
 
 
+def box_muller_inputs(keys, pairs):
+    """Per key (batch-first), the Box-Muller radii r = sqrt(-2 log u) of draws
+    0..pairs-1 and the uniforms u of the angle draws pairs..2 pairs-1, from
+    the counter stream in plain numpy (test oracle)."""
+    x = _splitmix64(np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN64 + keys[:, None])
+    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u[:, :pairs])), u[:, pairs:]
+
+
 def stewart_haar_reference(group, n, seed, count, start):
-    """Stream-version-3 Haar samples (test oracle): batch-first Box-Muller
-    normals from the same counter stream, entry t of the lower triangle
-    (column by column) the t-th normal (real pair t for U and SU),
-    ``stewart_q_reference``, then an LU determinant: SU divides column 1 by
-    it, SO flips column 1 where it is -1."""
+    """Stream-version-4 Haar samples (test oracle): batch-first Box-Muller
+    normals from the same counter stream, the pair of radius r and angle
+    2 pi u as k (1 - t^2) and 2 k t with t = tan(pi u) and k = r / (1 + t^2),
+    entry t of the lower triangle (column by column) the t-th normal (real
+    pair t for U and SU), ``stewart_q_reference``, then an LU determinant: SU
+    divides column 1 by it, SO flips column 1 where it is -1."""
     keys = _stream_keys(seed, start, count)
     size = n * (n + 1) // 2 * (1 if group == "SO" else 2)
     pairs = (size + 1) // 2
-    x = _splitmix64(np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN64 + keys[:, None])
-    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u[:, :pairs]))
-    angle = 2.0 * np.pi * u[:, pairs:]
+    radius, u = box_muller_inputs(keys, pairs)
+    t = np.tan(np.pi * u)
+    k = radius / (1.0 + t * t)
     normals = np.empty((count, 2 * pairs))
-    normals[:, 0::2], normals[:, 1::2] = radius * np.cos(angle), radius * np.sin(angle)
+    normals[:, 0::2], normals[:, 1::2] = k * (1.0 - t * t), 2.0 * k * t
     out = []
     for z in normals[:, :size]:
         entries = iter(z if group == "SO" else z[0::2] + 1j * z[1::2])
@@ -344,7 +353,7 @@ _COUNT_CALLS = {
     "monte_carlo_containment trials": ("trials", 1, lambda k: monte_carlo_containment(3, k)),
     "verify_preimage trials": ("trials", 1, lambda k: verify_preimage(3, k)),
     "verify_unit_disk trials": ("trials", 1, lambda k: verify_unit_disk(2, k, grid=3)),
-    "verify_unit_disk grid": ("grid", 2, lambda k: verify_unit_disk(2, 3, grid=k)),
+    "verify_unit_disk grid": ("grid", 3, lambda k: verify_unit_disk(2, 3, grid=k)),
     "verify_so_interval trials": ("trials", 1, lambda k: verify_so_interval(3, 10, k)),
     "verify_so_interval sweep": ("sweep", 2, lambda k: verify_so_interval(3, k, 3)),
     "su_region_contains_winding samples": (
@@ -675,6 +684,27 @@ class TestHaarSampling:
         assert z.shape == (1000, 1000)
         assert np.isfinite(z).all()
         assert stats.kstest(z.ravel(), "norm").pvalue > 1e-3
+
+    def test_half_angle_pairs_match_cos_and_sin(self):
+        # stream v4 against v3's r cos(2 pi u) and r sin(2 pi u) on the same
+        # draws, over 1.024e6 normals: 4.3e-16 r measured
+        keys = _stream_keys(2024, 0, 1024)
+        z = _standard_normals(keys, 1000, np.empty(4 * 500 * 1024))
+        radius, u = box_muller_inputs(keys, 500)
+        angle = 2.0 * np.pi * u
+        for got, want in ((z[0::2], np.cos(angle)), (z[1::2], np.sin(angle))):
+            assert (np.abs(got - (radius * want).T) <= 1e-15 * radius.T).all()
+
+    @given(_SEEDS, st.integers(0, 2**40), st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_lie_on_their_circle(self, seed, start, pairs):
+        # every pair is finite and x^2 + y^2 = r^2 to within a few ulps
+        keys = _stream_keys(seed, start, 16)
+        z = _standard_normals(keys, 2 * pairs, np.empty(4 * pairs * 16))
+        radius = box_muller_inputs(keys, pairs)[0].T
+        assert np.isfinite(z).all()
+        x, y = z[0::2], z[1::2]
+        assert (np.abs(x * x + y * y - radius**2) <= 8 * np.finfo(float).eps * radius**2).all()
 
     def test_unit_disk_bound(self):
         # |diag product| <= 1 for every unitary

@@ -4,17 +4,20 @@ holds.
 
 The digests are SHA-256 of the raw bytes of matrices and stacks and of the
 JSON of reports (``to_dict``, which leaves ``elapsed`` out).  Those of the
-samples and the three Haar verifiers were recorded before the samplers and
-the winding core wrote their temporaries into per-call buffers; those of the
-constrained maxima before the ascent and its retraction shared one line
-search and before the ascent left its stopped restarts alone; those of the
-preimage reports, of ``preimage`` and of ``build_homotopy_matrix`` before the
-homotopy matrices were built as stacks, the preimage verifier checked them
-one chunk at a time and the unitarity predicates shared one stack core.  A
-change to any bit of a sample, a matrix or a report changes a digest, so a
-stream change has to update them on purpose.  The bits rest on numpy's
-float64 log, cos and sin, so the digests are checked only on the numpy
-release and machine type they were recorded on.
+samples, the three Haar verifiers and the constrained maxima were recorded
+with stream version 4 (each Box-Muller pair from the tangent of the half
+angle), and those of the constrained maxima with the ascent's gain stop
+and level-set test at the rounding error of the diagonal product, after
+checking that every sample moved by at most 2e-15 an entry from version 3
+and that no report changed its failures; those of the
+preimage reports, of ``preimage`` and of ``build_homotopy_matrix`` draw no
+Haar sample and were recorded before the homotopy matrices were built as
+stacks, the preimage verifier checked them one chunk at a time and the
+unitarity predicates shared one stack core.  A change to any bit of a
+sample, a matrix or a report changes a digest, so a stream change has to
+update them on purpose.  The bits rest on numpy's float64 log and tan, so
+the digests are checked only on the numpy release and machine type they
+were recorded on.
 """
 
 import hashlib
@@ -56,54 +59,54 @@ SAMPLERS = {
 
 # stacks drawn with seed 11, start 0
 HAAR_DIGESTS = {
-    ("unitary", 2, 33): "10a6659ca5ab9e4ac6011f8bd4d47302c8430387241d3383825ea8cf9a167ad2",
-    ("unitary", 2, 2048): "a27db3f526dea45b2129d2a3de26c4d4ab13dd71deea04792568c6ac20c987da",
-    ("unitary", 3, 33): "2b1e1fd0b7fd37b0d7a015e46b96b356ecd00836adac73f27b170108cd8c5013",
-    ("unitary", 3, 2048): "61ed7e6cf81a06589623258430806d6bf8d5f849a6aa8c4afe7c58e0df936ff4",
-    ("unitary", 6, 33): "0dddc7eaa16aa86bffce714810f46382b976e2b79f4bc6173252a594502a6bae",
-    ("unitary", 6, 2048): "7ad535001de6219c4ef6672139f77a5a2194c500dbd67080102020c3082a8fda",
-    ("unitary", 9, 33): "f327565b73913c0138bdd27b9dc7abfa274e9f5895380d58dc6c1c074ec77c93",
-    ("unitary", 9, 2048): "2f44d337a70cfc897fbc4fd9e73ff934d545a2f5af0d8f4f5489137e94e5dbbf",
-    ("special_unitary", 2, 33): "998e87fe5638c26de668c1461357ffa5cf5768278cea32d99c56f90197580a0c",
-    ("special_unitary", 2, 2048): "34ae90c5906d05ab4417c214fe54ac5472408c3ec753c10cc51cd8073abd8d05",
-    ("special_unitary", 3, 33): "9f3eafc6d75ed9567d73d11e5037ca99fa14061fe3fb32bbe263cb95c58ce898",
-    ("special_unitary", 3, 2048): "d8a21824f2e886db426d6593b2084be74981d4e2655cdc552c7391e0230aa229",
-    ("special_unitary", 6, 33): "ec4ceb6edcd92c8c04e3cd4226241e9324af323794841e5e838975f7d1b791a6",
-    ("special_unitary", 6, 2048): "84d79ceaaef80cd6922159143d6aa3da2b0634416d3b2177b11f2911261880fe",
-    ("special_unitary", 9, 33): "0e669d8b2ec25d6515b07bf5ebea877faedb88fe5c0ea98e750f1fc4388acd7b",
-    ("special_unitary", 9, 2048): "c421382c84370c2c40dccc0eeefc8500ed56f56cc1d6b6385a7bff17b2efc4db",
-    ("special_orthogonal", 2, 33): "41261ea3ae2364d7ea0aacd6bb4e58232dbcbfedec0612cb0bebf18d9781517d",
-    ("special_orthogonal", 2, 2048): "7416d3b6c6430fdbab50ac96b030cd266fe02c1b3b274bf386b34fbe24494b87",
-    ("special_orthogonal", 3, 33): "90d6c9ed9549519a1b3e3daf42ed791f1f4b9b42ed428e9f7aaa1c3817dab580",
-    ("special_orthogonal", 3, 2048): "3a4c674ec0f8f3b6167e5692def740bf5c18fa0043b9d86136188302fb976eda",
-    ("special_orthogonal", 6, 33): "d9f347d46d75e31d724a6096c6f0ec3462f6147c555844534a8efb3bd267b01c",
-    ("special_orthogonal", 6, 2048): "ebfc92a6aba858fe9c2fcfdcb090d4e070617a4e0649fd6630d6db1d77e670aa",
-    ("special_orthogonal", 9, 33): "aa74174f39f50a0597a8076722d1409c9cd580a481e8b79a6e6051fbcf6551a3",
-    ("special_orthogonal", 9, 2048): "219f8f482593602af808863c42ef860bac1ac268ae820b9ca5696f25941f63cd",
+    ("unitary", 2, 33): "01e7d359da83f900a3819cdf1af5d4c1b39bdcba72ab21e8a389d84e3bb4c3e6",
+    ("unitary", 2, 2048): "6a2bc80002f57775437648bdc4a134958fded595dc477d9c054ba43ee7b0ae1e",
+    ("unitary", 3, 33): "885cab7b82c1fa330cf7cca9c8f769762fab2e328c19e7796d63ab6361126acb",
+    ("unitary", 3, 2048): "65fa510fbbbd97215a30e5e179a96749e796dfd773a1c00a52af5cc1cdc70619",
+    ("unitary", 6, 33): "356534fb98d3e38134e63cf9ec3075537c276776b04cc474eb3fa36d3cb1a675",
+    ("unitary", 6, 2048): "0b4aef47ace5cce5556ea2d125b2d24da94f03e624bb2d5599b79269ce611166",
+    ("unitary", 9, 33): "5b180a0e52b3218665b797320844a777e18908a74bbb16db4a0585b0820cfad6",
+    ("unitary", 9, 2048): "7e2b8b33b1464cef577f53963e69d60c719abdda7d0db6517238366e99cb89c5",
+    ("special_unitary", 2, 33): "e745ff46051ee3dfb2cd3283bff8b2f1befcd68e20de56643b2ed02adccb4f04",
+    ("special_unitary", 2, 2048): "b03791c60f2a00ac982053c2b9f34b2598f5c4c1c6158dd1cf3c83af9c123a60",
+    ("special_unitary", 3, 33): "f3040fb7d0998e835790b238bc08b3c4ccd5f9ff148ebf6452fa0385d5a5200c",
+    ("special_unitary", 3, 2048): "525c13d491f528c1762901c36740e2895c6f0c3c5788a76a88a4f99fa9456d3a",
+    ("special_unitary", 6, 33): "ef4edf59444c49a3324fb41e57317a297412be7638b6b39eec6a44b84dfb68d2",
+    ("special_unitary", 6, 2048): "61816603cd150e8fcb9ec532aa9c14757618a457238e1d35e26a702d73c18c7e",
+    ("special_unitary", 9, 33): "474ecdcd0b983c259c7c88f3bbc954a31fdd4bc18c628d2341261be5e4adc914",
+    ("special_unitary", 9, 2048): "e5355c74dddaf04f2707e931bb843f3e145803f72a9ebe06151a1cb4a3d37970",
+    ("special_orthogonal", 2, 33): "f7701e01b53dccc67ef54d5cabc1434407ede98a1eef74464188773314e2ef51",
+    ("special_orthogonal", 2, 2048): "845dab337f931366be3eaf4fda303cf67cbe07f1e8644e90fc2783ef9d063aaf",
+    ("special_orthogonal", 3, 33): "3827a67ddf4b1050545d0cad0cab8724bc74248584ace4c83f91218f159e5bb8",
+    ("special_orthogonal", 3, 2048): "5b5192510791eb46f3f89ff031538cd6a572e901d20a7d9b7a96949370329b72",
+    ("special_orthogonal", 6, 33): "518ca45b9e0ede3cb763ec1a728f766ddcc4a46adf14e975cf0c2c5f4bb864f8",
+    ("special_orthogonal", 6, 2048): "a4ccccfcf7ef72047af1a3426b38d3e3743a2364bbd3e2a0671ab77c33036398",
+    ("special_orthogonal", 9, 33): "c21a41c4335557033c7a382c924506b86edb7afbf1f1d674d245678b84b2d69b",
+    ("special_orthogonal", 9, 2048): "076cec220030159972013955437595998e80ce0651217e217dd063593a9cb302",
 }
 
 REPORTS = {
     "monte_carlo": (
         lambda: monte_carlo_containment(6, 2048, 5),
-        "0c1572d55cba4cb744b2dea1f78195c590b3c28b67695978833e2fca8a40cd13",
+        "8c6e5550e023c39ecd60682a7d4fde805cffff9ed1743816c8eed5f7af0848b7",
     ),
     "unit_disk": (
         lambda: verify_unit_disk(4, 2048, 5),
-        "952cbb5a16aff12ef2d51f5ea719c783f76f0da00f0ee0d91406cfaf4239e39e",
+        "db73cd2b41ad982151825146e970473c5fae4804f0147f3dd2efb1f2a4db98c4",
     ),
     "so_interval": (
         lambda: verify_so_interval(6, 10000, 2048, 5),
-        "4257ddff1c1d2fdaa6face469f50f794dc4f4e2be2262c296719bf4504df533f",
+        "175a956c4aa0706e93aa516202adeb02a267756ff2a38fbf0d56bd6522636226",
     ),
 }
 
 # (n, theta, seed), from theta = 0 to the cusp and n = 3 to 20
 CONSTRAINED_MAX_DIGESTS = {
-    (3, 0.0, 0): "c417bfce78e57861eabe2e1fbd9c8577fc58fbd94988030b65954ec63203cdb3",
-    (4, 1e-3, 1): "22e69d37047598327e392e4ccb15cac7ebc71dd799c24da7ce72c9e6d0e243f8",
-    (6, -2.0, 2): "50b3097d8428118428cfb97f58a9e749e92198ea2db29f0e505e50cb20128147",
-    (12, 1e-3, 0): "eba1d7d466e55076e58784e551326ffc211d66e44587c2bcb212776483650845",
-    (20, 0.4, 5): "748dad13e60c409e87817bc14866d8989ea77e8ea63bff825d34d928ce98f89a",
+    (3, 0.0, 0): "d373f830c976c60255d4fd2cc0eddea4e363f28efb951dbec8c074d5c6f1f603",
+    (4, 1e-3, 1): "a90a7f8474f0f2c69b45212a9d1135938558effcd06e5435e9dd869f37097bb0",
+    (6, -2.0, 2): "7d33f7a26e20e1bc1814564380d176a265bfd637c42ade32a4a20736895361fb",
+    (12, 1e-3, 0): "937915ad9703b5780f07067f5c3d4c35c31c361f5dc09d3a6f4fc64e8f2e16ba",
+    (20, 0.4, 5): "00ed4fcb8734b25380f5771c2af2d30ff259bf98168bf222602c8c7507ce7363",
 }
 
 

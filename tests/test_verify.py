@@ -605,6 +605,16 @@ class TestConstrainedMaxDomain:
     def test_c07_bounds_at_reported_cusp_cases(self, n, theta, seed):
         assert abs(self._assert_c07_bounds(n, theta, seed)) <= 1e-12
 
+    # regression: a restart stopped at its first kept move that gained at
+    # most 1e-12 in log|p|; convergence is linear, so restarts here ended
+    # up to 7.4e-12 below the maximum
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_every_restart_ends_at_the_maximum(self, seed):
+        rep = constrained_max_numeric(40, 1e-3, seed=seed)
+        errors = [r.error for r in rep.details]
+        assert len(errors) == OptimizerConfig().restarts
+        assert max(errors) <= 1e-12, errors
+
     # regression: every rate of the ascent on Re(w p) was absolute, so at
     # large n, where a Haar start has |p| near 1e-16, no restart moved
     @given(
@@ -662,7 +672,13 @@ class TestProposition1:
         with pytest.raises(ValueError):
             verify_unit_disk(1, 10)
 
-    @pytest.mark.parametrize("grid", [2, 5, 41])
+    def test_grid_without_a_point_in_the_disk_is_rejected(self):
+        # regression: grid 2 (only the corners, all outside the disk) checked
+        # no grid target and reported the grid check as passed
+        with pytest.raises(ValueError, match="^grid must be an integer >= 3, got 2$"):
+            verify_unit_disk(3, 10, 0, 2)
+
+    @pytest.mark.parametrize("grid", [3, 5, 41])
     @pytest.mark.parametrize("shift", [0.0, 1e-9])
     def test_grid_records_match_the_point_loop(self, monkeypatch, grid, shift):
         # reference: one build and one product per grid point, as the check
