@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import alpha_of_theta, _ipow, _wrap_angle
-from .matrices import diag_product, is_special_unitary, _MASK64
-from .matrices import _check_finite, _check_n, _check_tol, _square
+from .matrices import _MASK64, _check_finite, _check_n, _check_tol, _diag_products, _square
+from .matrices import _unitarity_errors
 
 __all__ = [
     "ExtremalDecomposition",
@@ -105,8 +105,12 @@ def build_extremal(d: ExtremalDecomposition, tol: float = 1e-10) -> np.ndarray:
     problems = d.violations(tol)
     if problems:
         raise ValueError("invalid extremal decomposition: " + "; ".join(problems))
-    n = d.n
-    reflect = np.eye(n, dtype=np.complex128)
+    return _extremal_matrix(d)
+
+
+def _extremal_matrix(d: ExtremalDecomposition) -> np.ndarray:
+    """The core of :func:`build_extremal`, for data already known valid."""
+    reflect = np.eye(d.n, dtype=np.complex128)
     reflect -= (1.0 - np.exp(-1j * d.alpha)) * np.outer(d.v, d.v.conj())
     return reflect * np.exp(1j * d.diag_phases)[None, :]
 
@@ -121,7 +125,7 @@ def build_u_theta(n: int, theta) -> np.ndarray:
     """
     n = _check_n(n, 3)
     a = alpha_of_theta(n, theta)
-    return build_extremal(ExtremalDecomposition(a, np.full(n, n**-0.5), np.full(n, a / n)))
+    return _extremal_matrix(ExtremalDecomposition(a, np.full(n, n**-0.5), np.full(n, a / n)))
 
 
 def omega_max(n: int) -> float:
@@ -238,6 +242,12 @@ def decompose_su2(z, w) -> ExtremalDecomposition:
     w = _check_finite("w", complex(w))
     if abs(abs(z) ** 2 + abs(w) ** 2 - 1.0) > 1e-12:
         raise ValueError("need |z|^2 + |w|^2 = 1")
+    return _su2_decomposition(z, w)
+
+
+def _su2_decomposition(z: complex, w: complex) -> ExtremalDecomposition:
+    """The core of :func:`decompose_su2`, for a pair already known to be a
+    finite unit vector."""
     if w == 0:
         phases = np.array([math.atan2(z.imag, z.real), -math.atan2(z.imag, z.real)])
         v = np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128)
@@ -270,12 +280,12 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
     """
     u = np.asarray(_square(u), np.complex128)
     n, tol = _check_n(len(u), 2), _check_tol(tol)
-    if not is_special_unitary(u, tol):
+    if not _unitarity_errors(u).max() <= tol:
         raise ValueError("matrix is not special unitary within tolerance")
 
     if n == 2:
         # the SU(2) image [0, 1] is entirely boundary
-        z = diag_product(u)
+        z = complex(_diag_products(u))
         if abs(z.imag) > tol or not (-tol <= z.real <= 1.0 + tol):
             return None
         if abs(z - 1.0) <= tol:
@@ -284,7 +294,7 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
         # phase-stripping route degenerates; the closed-form SU(2) split
         # covers every case (and yields alpha = 2 arccos sqrt(product))
         nrm = math.hypot(abs(u[0, 0]), abs(u[1, 0]))
-        d = decompose_su2(u[0, 0] / nrm, u[1, 0] / nrm)
+        d = _su2_decomposition(complex(u[0, 0] / nrm), complex(u[1, 0] / nrm))
         lead = d.v[np.flatnonzero(np.abs(d.v) > 1e-12)[0]]
         v = d.v * (lead.conjugate() / abs(lead))
         return ExtremalDecomposition(d.alpha, v, d.diag_phases)
@@ -293,7 +303,7 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
         d = _degenerate_decomposition(u, n)
     else:
         d = _closed_form_decomposition(u, n)
-    if d is None or not np.abs(build_extremal(d) - u).max() <= tol:
+    if d is None or not np.abs(_extremal_matrix(d) - u).max() <= tol:
         return None
     return d
 
@@ -337,9 +347,6 @@ def random_extremal(n: int, seed: int = 0, alpha: float | None = None) -> Extrem
         alpha = rng.uniform(-math.pi, math.pi)
     alpha = float(_wrap_angle(_check_finite("alpha", alpha)))
     v = np.exp(1j * rng.uniform(-math.pi, math.pi, n)) / math.sqrt(n)
-    if n == 1:
-        phases = np.array([alpha])
-    else:
-        head = rng.uniform(-math.pi, math.pi, n - 1)
-        phases = np.append(head, _wrap_angle(alpha - head.sum()))
+    head = rng.uniform(-math.pi, math.pi, n - 1)
+    phases = np.append(head, _wrap_angle(alpha - head.sum()))
     return ExtremalDecomposition(alpha, v, phases)

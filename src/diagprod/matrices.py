@@ -162,8 +162,9 @@ def _diag_products(mats: np.ndarray) -> np.ndarray:
 
 
 def diag_product(m) -> complex:
-    """Product of the diagonal entries of a square matrix."""
-    return complex(_diag_products(_square(m)))
+    """Product of the diagonal entries of a square matrix; ValueError naming
+    the first non-finite entry, if any."""
+    return complex(_diag_products(_check_finite("m", _square(m))))
 
 
 def _unitarity_errors(mats: np.ndarray) -> np.ndarray:
@@ -197,29 +198,26 @@ def is_special_orthogonal(m, tol: float = 1e-10) -> bool:
     return bool(np.abs(a.imag).max() <= tol and _unitarity_errors(a).max() <= tol)
 
 
-def _check_pair(n: int, j: int, k: int) -> int:
+def _generator(n: int, j: int, k: int, upper: complex, lower: complex) -> np.ndarray:
+    """The n x n matrix with entry (j, k) ``upper`` and (k, j) ``lower``
+    (1-based), zero elsewhere; ValueError unless 1 <= j < k <= n."""
     n, j, k = _check_n(n, 2), _check_n(j, name="j"), _check_n(k, name="k")
     if not (1 <= j < k <= n):
         raise ValueError(f"indices must satisfy 1 <= j < k <= n, got j={j}, k={k}, n={n}")
-    return n
+    m = np.zeros((n, n), np.complex128)
+    m[j - 1, k - 1] = upper
+    m[k - 1, j - 1] = lower
+    return m
 
 
 def generator_x(n: int, j: int, k: int) -> np.ndarray:
     """Real rotation generator: entry (j,k) is -1 and (k,j) is +1 (1-based)."""
-    n = _check_pair(n, j, k)
-    m = np.zeros((n, n), np.complex128)
-    m[j - 1, k - 1] = -1.0
-    m[k - 1, j - 1] = 1.0
-    return m
+    return _generator(n, j, k, -1.0, 1.0)
 
 
 def generator_y(n: int, j: int, k: int) -> np.ndarray:
     """Imaginary mixing generator: entries (j,k) and (k,j) are both i (1-based)."""
-    n = _check_pair(n, j, k)
-    m = np.zeros((n, n), np.complex128)
-    m[j - 1, k - 1] = 1.0j
-    m[k - 1, j - 1] = 1.0j
-    return m
+    return _generator(n, j, k, 1.0j, 1.0j)
 
 
 def exp_skew_hermitian(a, tol: float = 1e-10) -> np.ndarray:
@@ -375,28 +373,20 @@ def _batch_first(q: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return out
 
 
-def _haar_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
-    """One Haar U(n) sample per stream key: Stewart's Householder Q, which
-    has the law of the Q factor of a complex Ginibre matrix with a real
-    positive R diagonal (Mezzadri 2007)."""
-    q, _, spent = _stewart_q(n, keys, 2)
-    return _batch_first(q, spent)
-
-
-def _haar_special_unitary_keys(n: int, keys: np.ndarray) -> np.ndarray:
-    """The U(n) sample with column 1 divided by det Q: multiplied by its
-    conjugate, since det Q is a unit phase."""
-    q, (dr, di), spent = _stewart_q(n, keys, 2)
-    cr, ci = q[:, :, 0]
-    cr[...], ci[...] = cr * dr + ci * di, ci * dr - cr * di
-    return _batch_first(q, spent)
-
-
-def _haar_special_orthogonal_keys(n: int, keys: np.ndarray) -> np.ndarray:
-    """One Haar SO(n) sample per stream key: Stewart's Q from real reflector
-    vectors, column 1 flipped where det Q = -1."""
-    q, (d,), spent = _stewart_q(n, keys, 1)
-    q[0, :, 0] *= d
+def _haar_keys(n: int, keys: np.ndarray, group: str) -> np.ndarray:
+    """One Haar sample of ``group`` per stream key, for ``group`` "U", "SU"
+    or "SO".  U(n): Stewart's Householder Q from complex reflector vectors,
+    which has the law of the Q factor of a complex Ginibre matrix with a real
+    positive R diagonal (Mezzadri 2007).  SU(n): that sample with column 1
+    divided by det Q, that is multiplied by its conjugate, as det Q is a
+    unit phase.  SO(n): Stewart's Q from real reflector vectors, column 1
+    flipped where det Q = -1."""
+    q, d, spent = _stewart_q(n, keys, 1 if group == "SO" else 2)
+    if group == "SU":
+        (dr, di), (cr, ci) = d, q[:, :, 0]
+        cr[...], ci[...] = cr * dr + ci * di, ci * dr - cr * di
+    elif group == "SO":
+        q[0, :, 0] *= d[0]
     return _batch_first(q, spent)
 
 
@@ -407,17 +397,17 @@ def _haar_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.nda
     it keeps alive: 1.5 times its size for U(n) and SU(n), and for SO(n) up to
     2 times (at n = 2).  A caller that holds a large stack long can trim it
     with ``copy``."""
-    return _haar_unitary_keys(n, _stream_keys(seed, start, count))
+    return _haar_keys(n, _stream_keys(seed, start, count), "U")
 
 
 def _haar_special_unitary_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """As :func:`_haar_unitary_batch`, for SU(n), and a view of a buffer alike."""
-    return _haar_special_unitary_keys(n, _stream_keys(seed, start, count))
+    return _haar_keys(n, _stream_keys(seed, start, count), "SU")
 
 
 def _haar_special_orthogonal_batch(n: int, seed: int, count: int, start: int = 0) -> np.ndarray:
     """As :func:`_haar_unitary_batch`, for SO(n), and a view of a buffer alike."""
-    return _haar_special_orthogonal_keys(n, _stream_keys(seed, start, count))
+    return _haar_keys(n, _stream_keys(seed, start, count), "SO")
 
 
 def haar_unitary(n: int, seed: int = 0) -> np.ndarray:
@@ -428,14 +418,14 @@ def haar_unitary(n: int, seed: int = 0) -> np.ndarray:
     Box-Muller pairs from the counter-based SplitMix64 stream keyed by
     ``seed``, each pair's cosine and sine from the tangent of its half angle
     (stream version 4), so the sample is deterministic in ``seed``."""
-    return _haar_unitary_keys(n, _one_key(seed))[0]
+    return _haar_keys(n, _one_key(seed), "U")[0]
 
 
 def haar_special_unitary(n: int, seed: int = 0) -> np.ndarray:
     """Haar SU(n) sample: ``haar_unitary(n, seed)``, from the same stream
     version 4 normals, with column 1 divided by its determinant, a unit phase
     read off the Householder reflectors."""
-    return _haar_special_unitary_keys(n, _one_key(seed))[0]
+    return _haar_keys(n, _one_key(seed), "SU")[0]
 
 
 def haar_special_orthogonal(n: int, seed: int = 0) -> np.ndarray:
@@ -445,4 +435,4 @@ def haar_special_orthogonal(n: int, seed: int = 0) -> np.ndarray:
     pair from the tangent of its half angle), times the sign fix of
     a positive R diagonal, with column 1 flipped if the determinant, read off
     the reflectors, is -1."""
-    return _haar_special_orthogonal_keys(n, _one_key(seed))[0]
+    return _haar_keys(n, _one_key(seed), "SO")[0]

@@ -313,6 +313,16 @@ class TestVerifyCommand:
         )
         assert rc == 0
 
+    # regression: a report whose best value overshot the analytic maximum
+    # passed, so the command exited 0
+    def test_constrainedmax_overshoot_exits_1(self, monkeypatch, tmp_path):
+        radius = verify_module._radius_many
+        monkeypatch.setattr(verify_module, "_radius_many", lambda n, th: radius(n, th) - 1e-3)
+        out = tmp_path / "v.json"
+        rc = main(["verify", "--kind", "constrainedmax", "--n", "4", "--theta", "0.7", "--out", str(out)])
+        assert rc == 1
+        assert json.loads(out.read_text())["report"]["failures"] == 1
+
     def test_constrainedmax_requires_theta(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--kind", "constrainedmax", "--n", "3"])

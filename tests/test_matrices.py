@@ -2,6 +2,7 @@
 exponentials and Haar sampling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -470,6 +471,23 @@ class TestNonFiniteMatrices:
     def test_recognition_rejects(self, u):
         with pytest.raises(ValueError, match="not special unitary"):
             recognize_extremal(u)
+
+    # regression: a NaN entry gave a NaN product, and 0 + inf i raised a
+    # RuntimeWarning from the reduction
+    @given(
+        bad=_NON_FINITE,
+        part=st.sampled_from(["real matrix", "real part", "imaginary part"]),
+        n=st.integers(1, 5),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_diag_product_rejects_non_finite(self, bad, part, n, data):
+        m = np.eye(n, dtype=float if part == "real matrix" else complex)
+        value = complex(0.0, bad) if part == "imaginary part" else bad
+        m[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = value
+        got = value if part == "real matrix" else complex(value)
+        with pytest.raises(ValueError, match=f"^m must be finite, got {re.escape(repr(got))}$"):
+            diag_product(m)
 
 
 class TestGenerators:

@@ -360,6 +360,24 @@ class TestConstrainedMax:
         with pytest.raises(ValueError):
             constrained_max_numeric(3, 0.5, config=OptimizerConfig(restarts=0))
 
+    # regression: a report passed whatever its gap to the analytic maximum;
+    # after one iteration the best restart lies 0.42 below it at n = 20 and
+    # 4.3e-3 below at n = 4, with every restart feasible
+    @pytest.mark.parametrize("n, theta", [(20, 0.4), (4, 0.7)])
+    def test_best_value_short_of_the_maximum_fails(self, n, theta):
+        rep = constrained_max_numeric(n, theta, OptimizerConfig(8, 1))
+        infeasible = sum(r.input.endswith("feasible=False") for r in rep.details)
+        assert rep.worst_margin > 1e-4 and len(rep.details) == 8
+        assert rep.failures == infeasible + 1 and not rep.passed
+
+    # regression: a best value above the analytic maximum passed
+    def test_best_value_above_the_maximum_fails(self, monkeypatch):
+        radius = verify_module._radius_many
+        monkeypatch.setattr(verify_module, "_radius_many", lambda n, th: radius(n, th) - 1e-3)
+        rep = constrained_max_numeric(4, 0.7)
+        assert rep.worst_margin == pytest.approx(-1e-3, abs=1e-9)
+        assert rep.failures == 1 and not rep.passed
+
 
 _COUNT_FIELDS = ("restarts", "max_iterations")
 _INVALID = st.sampled_from((0, -1, 0.0, -0.5, -math.inf, math.nan, math.inf, True, None, "1"))
@@ -975,6 +993,18 @@ class TestFailureBranches:
         assert rep.failures == 4
         assert rep.details == sorted(rep.details, key=lambda r: (-r.error, r.input))
         assert rep.worst_margin == 1e-12 - by_input["diagonal signs with even product"][3]
+
+    # regression: a sweep endpoint that missed its value counted as a failure
+    # but left the smallest margin positive
+    def test_so_sweep_short_of_its_endpoint(self, monkeypatch):
+        omega_max = verify_module.omega_max
+        monkeypatch.setattr(verify_module, "omega_max", lambda n: 0.9 * omega_max(n))
+        rep = verify_so_interval(4, sweep=500, trials=50, seed=0)
+        by_input = {r.input: r for r in rep.details}
+        lower = by_input["sweep lower endpoint"]
+        assert lower.error > 1e-9 and by_input["sweep upper endpoint"].error <= 1e-9
+        assert rep.failures == 1
+        assert rep.worst_margin == 1e-9 - lower.error < 0.0
 
     def test_preimage_points(self, monkeypatch):
         descend = verify_module._descend
