@@ -1,6 +1,6 @@
 """Pins of the exact bits of the Haar samplers, the verifiers, the preimage
-solver and the homotopy family, and bounds on the memory that one batch call
-holds.
+solver, the homotopy family and recognition, and bounds on the memory that
+one batch call holds.
 
 The digests are SHA-256 of the raw bytes of matrices and stacks and of the
 JSON of reports (``to_dict``, which leaves ``elapsed`` out).  Those of the
@@ -13,7 +13,9 @@ and that no report changed its failures; those of the
 preimage reports, of ``preimage`` and of ``build_homotopy_matrix`` draw no
 Haar sample and were recorded before the homotopy matrices were built as
 stacks, the preimage verifier checked them one chunk at a time and the
-unitarity predicates shared one stack core.  A change to any bit of a
+unitarity predicates shared one stack core; that of recognition was
+recorded before its generic and degenerate cases read the diagonal phases
+through one rule.  A change to any bit of a
 sample, a matrix or a report changes a digest, so a stream change has to
 update them on purpose.  The bits rest on numpy's float64 log and tan, so
 the digests are checked only on the numpy release and machine type they
@@ -29,12 +31,16 @@ import numpy as np
 import pytest
 
 from diagprod import (
+    build_extremal,
     build_homotopy_matrix,
     constrained_max_numeric,
     gamma,
+    haar_special_unitary,
     monte_carlo_containment,
     omega_max,
     preimage,
+    random_extremal,
+    recognize_extremal,
     verify_preimage,
     verify_so_interval,
     verify_unit_disk,
@@ -144,6 +150,30 @@ HOMOTOPY_DIGESTS = {
     (8, 1e-3, 0.5): "a363302bc4faeae1e26e4edd0fa0a983d950ec3ed984a6b97c8de5512167662a",
 }
 
+# recognize_extremal over recognition_corpus()
+RECOGNITION_DIGEST = "d076200d883dd370861df1729e9901f35f020d61468e2c856054856ff8a0ac96"
+
+
+def recognition_corpus():
+    """For n = 2 to 8: diagonal SU(n) matrices whose phases include +0.0 and
+    -0.0, boundary matrices at random alpha, at alpha = +-pi and at +-1e-5,
+    and Haar samples, whose products lie inside (recognized as None)."""
+    rng = np.random.default_rng(27)
+    for n in range(2, 9):
+        for zero in (0.0, -0.0):
+            yield np.diag(np.full(n, complex(1.0, zero)))
+            half_turns = [complex(-1.0, zero), complex(-1.0, -zero)]
+            yield np.diag(half_turns + [complex(1.0, -zero)] * (n - 2))
+        for _ in range(4):
+            head = rng.uniform(-np.pi, np.pi, n - 1)
+            yield np.diag(np.exp(1j * np.append(head, -head.sum())))
+        for seed in range(12):
+            for alpha in (None, np.pi, -np.pi, 1e-5, -1e-5):
+                yield build_extremal(random_extremal(n, seed, alpha))
+        for seed in range(3):
+            yield haar_special_unitary(n, seed)
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -190,6 +220,18 @@ def test_preimage_bits(kind):
 def test_homotopy_matrix_bits(n, alpha, omega):
     u = build_homotopy_matrix(n, alpha, omega_max(n) if omega is None else omega)
     assert sha256(u.tobytes()) == HOMOTOPY_DIGESTS[n, alpha, omega]
+
+
+@recorded_here
+def test_recognition_bits():
+    digest = hashlib.sha256()
+    for u in recognition_corpus():
+        d = recognize_extremal(u)
+        if d is None:
+            digest.update(b"None")
+        else:
+            digest.update(np.float64(d.alpha).tobytes() + d.v.tobytes() + d.diag_phases.tobytes())
+    assert digest.hexdigest() == RECOGNITION_DIGEST
 
 
 def traced_peak(call) -> int:
