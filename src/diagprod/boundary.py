@@ -38,8 +38,9 @@ _TWO_PI = 2.0 * np.pi
 
 
 def wrap_angle(x):
-    """Reduce angles to (-pi, pi] by an exact multiple of the float 2 pi, so every
-    finite angle lands in range; values already in [-pi, pi] are unchanged.
+    """Reduce angles to [-pi, pi] by an exact multiple of the float 2 pi, so every
+    finite angle lands in range: values already in [-pi, pi] are unchanged
+    (-pi too, and -0.0 becomes 0.0), and any other angle lands in (-pi, pi].
     Raises ValueError naming the first NaN or infinite angle."""
     return _wrap_angle(_check_finite("angle", x))
 

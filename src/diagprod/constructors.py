@@ -289,18 +289,18 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
         if abs(z.imag) > tol or not (-tol <= z.real <= 1.0 + tol):
             return None
         if abs(z - 1.0) <= tol:
-            return _degenerate_decomposition(u, n)
+            return _with_diagonal_phases(u, 0.0, np.full(n, 1.0 / math.sqrt(n), np.complex128))
         # at the half-turn the diagonal entries vanish, so the generic
         # phase-stripping route degenerates; the closed-form SU(2) split
-        # covers every case (and yields alpha = 2 arccos sqrt(product))
+        # covers every case (and yields alpha = 2 arccos sqrt(product)),
+        # and every |v_k| is 1/sqrt(2), so v is gauged by its first entry
         nrm = math.hypot(abs(u[0, 0]), abs(u[1, 0]))
         d = _su2_decomposition(complex(u[0, 0] / nrm), complex(u[1, 0] / nrm))
-        lead = d.v[np.flatnonzero(np.abs(d.v) > 1e-12)[0]]
-        v = d.v * (lead.conjugate() / abs(lead))
+        v = d.v * (d.v[0].conjugate() / abs(d.v[0]))
         return ExtremalDecomposition(d.alpha, v, d.diag_phases)
 
     if np.abs(u - np.diag(np.diagonal(u))).max() <= tol:
-        d = _degenerate_decomposition(u, n)
+        d = _with_diagonal_phases(u, 0.0, np.full(n, 1.0 / math.sqrt(n), np.complex128))
     else:
         d = _closed_form_decomposition(u, n)
     if d is None or not np.abs(_extremal_matrix(d) - u).max() <= tol:
@@ -322,20 +322,24 @@ def _closed_form_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition |
         return None
     alpha = -math.atan2(e.imag, e.real)
     if alpha == -math.pi:
-        alpha = math.pi  # the half-turn is reported as +pi
-    psi = np.angle(1.0 - (1.0 - np.exp(-1j * alpha)) / n)
+        # only an alpha of exactly -pi is reported as +pi; a half-turn that
+        # rounds to the float above -pi keeps that value
+        alpha = math.pi
+    return _with_diagonal_phases(u, alpha, v)
+
+
+def _with_diagonal_phases(u: np.ndarray, alpha: float, v: np.ndarray) -> ExtremalDecomposition:
+    """The decomposition (alpha, v) with the diagonal phases read off ``u``:
+    each is the angle of a diagonal entry minus psi(alpha), the angle of the
+    reflection's diagonal entry 1 - (1 - e^{-i alpha}) / n, and the first
+    absorbs the remainder, so that the phases sum to alpha.  Recognition
+    calls it with alpha = 0 and every v_k = 1/sqrt(n) for a diagonal product
+    at the cusp value 1, where the reflection term vanishes and any
+    equal-modulus v is admissible."""
+    psi = np.angle(1.0 - (1.0 - np.exp(-1j * alpha)) / len(u))
     phases = _wrap_angle(np.angle(np.diagonal(u)) - psi)
     phases[0] += float(_wrap_angle(alpha - phases.sum()))
     return ExtremalDecomposition(alpha, v, phases)
-
-
-def _degenerate_decomposition(u: np.ndarray, n: int) -> ExtremalDecomposition:
-    # diagonal product at the cusp value 1: the reflection term vanishes and
-    # any equal-modulus vector is admissible
-    phases = _wrap_angle(np.angle(np.diagonal(u)))
-    phases[0] += float(_wrap_angle(-phases.sum()))
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    return ExtremalDecomposition(0.0, v, phases)
 
 
 def random_extremal(n: int, seed: int = 0, alpha: float | None = None) -> ExtremalDecomposition:

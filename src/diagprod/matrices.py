@@ -57,13 +57,20 @@ def _splitmix64(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
+def _draws(keys, first: int, count: int, out=None, t=None) -> np.ndarray:
+    """Draws ``first`` to ``first + count - 1`` of the stream of each key (a
+    1-D array or one scalar), as ``uint64`` of shape ``(count, len(keys))``
+    (``(count, 1)`` for a scalar): row ``j`` holds draw ``d = first + j``, the
+    SplitMix64 finalizer of ``k + (d + 1) golden`` modulo 2**64 for key ``k``,
+    that is ``derive_seed(k, d)``.  The one place a draw is computed; written
+    into ``out``, with ``t`` the mixer's scratch, when they are given."""
+    j = (np.arange(count, dtype=np.uint64) + np.uint64((first + 1) & _MASK64)) * _GOLDEN64
+    return _splitmix64(np.add(j[:, None], keys, out=out), t)
+
+
 def _stream_keys(seed: int, first: int, count: int) -> np.ndarray:
     """``derive_seed(seed, first + i)`` for ``i`` in ``range(count)``, as ``uint64``."""
-    x = np.arange(count, dtype=np.uint64)
-    x += np.uint64((first + 1) & _MASK64)
-    x *= _GOLDEN64
-    x += np.uint64(seed & _MASK64)
-    return _splitmix64(x)
+    return _draws(np.uint64(seed & _MASK64), first, count)[:, 0]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -98,9 +105,7 @@ def _standard_normals(keys: np.ndarray, count: int, work: np.ndarray) -> np.ndar
     """
     pairs, m = (count + 1) // 2, len(keys)
     first, second = work[: 4 * pairs * m].reshape(2, 2 * pairs, m)
-    x = first.view(np.uint64)
-    np.add(np.arange(1, 2 * pairs + 1, dtype=np.uint64)[:, None] * _GOLDEN64, keys, out=x)
-    _splitmix64(x, second.view(np.uint64))
+    x = _draws(keys, 0, 2 * pairs, first.view(np.uint64), second.view(np.uint64))
     np.right_shift(x, 11, out=x)
     u = np.add(x, 0.5, out=second)  # exact: the 53 bits convert exactly
     u *= 2.0**-53
@@ -361,15 +366,12 @@ def _batch_first(q: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """The ``(m, n, n)`` stack of batch-last ``(P, n, n, m)`` planes, complex
     for two planes and real for one, written over the start of ``buffer``, a
     spent float64 array of at least the planes' size."""
-    m, n = q.shape[3], q.shape[1]
-    buffer = buffer.reshape(-1)[: q.size]
-    if len(q) == 1:
-        out = buffer.reshape(m, n, n)
-        out[...] = q[0].transpose(2, 0, 1)
-        return out
-    out = buffer.view(np.complex128).reshape(m, n, n)
+    dtype = np.complex128 if len(q) == 2 else np.float64
+    out = buffer.reshape(-1)[: q.size].view(dtype).reshape(q.shape[:0:-1])  # (m, n, n)
     planes = out.transpose(1, 2, 0)
-    planes.real, planes.imag = q
+    planes.real = q[0]  # a real array is its own real part
+    if len(q) == 2:
+        planes.imag = q[1]
     return out
 
 

@@ -146,14 +146,18 @@ class _Tally:
         smallest margin to ``margin``."""
         self.details.append(record)
         self.failures += bool(failed)
-        self.worst = min(self.worst, float(margin))
+        self.lower(margin)
 
-    def fail_each(self, bad, label, measured, expected, error, margin: float = math.inf) -> None:
+    def lower(self, margin: float) -> None:
+        """Lower the smallest margin to ``margin``; a NaN margin, which no
+        comparison would keep, lowers it to -inf."""
+        self.worst = min(self.worst, -math.inf if math.isnan(margin) else float(margin))
+
+    def fail_each(self, bad, label, measured, expected, error) -> None:
         """A failure at each index i where ``bad`` holds, with the record
         (``label(i)``, ``measured[i]``, ``expected``, ``error[i]``)."""
         for i in np.flatnonzero(bad):
             self.add(CheckRecord(label(i), float(measured[i]), expected, float(error[i])), True)
-        self.worst = min(self.worst, float(margin))
 
     def report(self, kind: str, n: int, trials: int, seed: int, best_matrix=None):
         """The report, its records by decreasing error, then input."""
@@ -400,7 +404,9 @@ def verify_preimage(
     """Solve ``trials`` random interior targets in one call of the preimage core
     and self-check every output: residual within ``tol``, special unitarity at 1e-10.
     Every target's matrix is rebuilt and checked, one chunk at a time; an
-    unsolved target keeps the core's residual and fails."""
+    unsolved target keeps the core's residual and fails.  The margin of a
+    target is tol - residual, and that of a failed one at most 1e-10 - its
+    unitarity error, so a failure always makes ``worst_margin`` negative."""
     n, trials, seed = _check_n(n, 3), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
     tol = _check_tol(tol)
     tally = _Tally()
@@ -415,10 +421,11 @@ def verify_preimage(
     miss, solved = products - zs, residuals <= tol
     residuals[solved] = np.hypot(miss.real, miss.imag)[solved]  # Python's abs, bit for bit
     ok = solved & (residuals <= tol) & (su_error <= 1e-10)
-    worst = float((tol - residuals).min())
+    margin = np.where(ok, tol - residuals, np.minimum(tol - residuals, 1e-10 - su_error))
     tally.fail_each(~ok, lambda i: f"point={i} z={points[i]!r}", residuals, tol, residuals - tol)
+    tally.lower(margin.min())
     label = f"worst residual over {trials} points"
-    tally.add(CheckRecord(label, tol - worst, tol, max(0.0, -worst)), False, worst)
+    tally.add(CheckRecord(label, tol - tally.worst, tol, max(0.0, -tally.worst)))
     return tally.report("preimage", n, trials, seed)
 
 
@@ -639,8 +646,8 @@ def verify_unit_disk(
         mods,
         1.0 - 1e-9,
         mods - (1.0 - 1e-9),
-        margin_c.min(),
     )
+    tally.lower(margin_c.min())
 
     axis = np.linspace(-1.0, 1.0, grid)
     zs = (axis[:, None] + 1j * axis[None, :]).ravel()

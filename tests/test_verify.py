@@ -828,6 +828,22 @@ class TestNonFiniteProducts:
         assert not rep.passed
         assert rep.worst_margin == -np.inf
 
+    # regression: a NaN rebuilt preimage counted as a failure, but min(inf,
+    # nan) kept the margin at +inf and max(0.0, -nan) gave its summary
+    # record the error 0.0
+    def test_nan_preimage_sets_the_margin(self, monkeypatch):
+        def with_nan(n, alpha, q):
+            mats = _homotopy_matrices(n, alpha, q)
+            mats[0] = np.nan
+            return mats
+
+        monkeypatch.setattr(verify_module, "_homotopy_matrices", with_nan)
+        rep = verify_preimage(3, 5, seed=1)
+        summary = next(r for r in rep.details if r.input == "worst residual over 5 points")
+        assert rep.failures == 1
+        assert rep.worst_margin == -np.inf
+        assert summary.error == np.inf
+
 
 class TestChunkIndependence:
     @pytest.mark.parametrize(
@@ -1022,6 +1038,15 @@ class TestFailureBranches:
         assert rep.failures == 6
         assert _records(rep) == sorted(want, key=lambda r: (-r[3], r[0]))
         assert rep.worst_margin == worst
+
+    # regression: a point that failed only the special-unitarity check was
+    # counted as a failure but left out of the margin, which stayed positive
+    def test_preimage_unitarity_only(self, monkeypatch):
+        errors = verify_module._unitarity_errors
+        monkeypatch.setattr(verify_module, "_unitarity_errors", lambda u: errors(u) + 1e-9)
+        rep = verify_preimage(3, 5, seed=1)
+        assert rep.failures == 5
+        assert rep.worst_margin == pytest.approx(1e-10 - 1e-9, abs=1e-14)
 
     def test_constrained_max_infeasible_restarts(self, monkeypatch):
         # without the ascent every restart keeps its Haar sample, whose
