@@ -15,9 +15,8 @@ Haar sample and were recorded before the homotopy matrices were built as
 stacks, the preimage verifier checked them one chunk at a time and the
 unitarity predicates shared one stack core; that of recognition was
 recorded before its generic and degenerate cases read the diagonal phases
-through one rule.  A change to any bit of a
-sample, a matrix or a report changes a digest, so a stream change has to
-update them on purpose.  The bits rest on numpy's float64 log and tan, so
+through one rule.  A change to any bit of a sample, a matrix or a report
+changes a digest, so a stream change has to update them on purpose.  The bits rest on numpy's float64 log and tan, so
 the digests are checked only on the numpy release and machine type they
 were recorded on.
 """
