@@ -1,6 +1,6 @@
 """Pins of the exact bits of the Haar samplers, the verifiers, the preimage
-solver, the homotopy family and recognition, and bounds on the memory that
-one batch call holds.
+solver, the homotopy family, recognition, the command line and the polar
+oracle, and bounds on the memory that one batch call holds.
 
 The digests are SHA-256 of the raw bytes of matrices and stacks and of the
 JSON of reports (``to_dict``, which leaves ``elapsed`` out).  Those of the
@@ -15,20 +15,28 @@ Haar sample and were recorded before the homotopy matrices were built as
 stacks, the preimage verifier checked them one chunk at a time and the
 unitarity predicates shared one stack core; that of recognition was
 recorded before its generic and degenerate cases read the diagonal phases
-through one rule.  A change to any bit of a sample, a matrix or a report
-changes a digest, so a stream change has to update them on purpose.  The bits rest on numpy's float64 log and tan, so
+through one rule; those of the command line (exit code, standard output
+and standard error of each run) and of the polar oracle (codes and
+margins, the boundary radius, the preimage solver's outside verdict) were
+recorded before the tables were emitted through one function and the
+polar margin was read through one radius core.  A change to any bit of a
+sample, a matrix or a report changes a digest, so a stream change has to
+update them on purpose.  The bits rest on numpy's float64 log and tan, so
 the digests are checked only on the numpy release and machine type they
-were recorded on.
+were recorded on, and the command line's only on the Python release whose
+argparse wrote its usage text.
 """
 
 import hashlib
 import json
 import platform
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import diagprod.verify as verify_module
 from diagprod import (
     build_extremal,
     build_homotopy_matrix,
@@ -38,6 +46,7 @@ from diagprod import (
     monte_carlo_containment,
     omega_max,
     preimage,
+    radius_of_theta,
     random_extremal,
     recognize_extremal,
     verify_preimage,
@@ -49,7 +58,8 @@ from diagprod.matrices import (
     _haar_special_unitary_batch,
     _haar_unitary_batch,
 )
-from diagprod.region import _winding_codes_many
+from diagprod.cli import main
+from diagprod.region import _classify_su_many, _winding_codes_many
 
 recorded_here = pytest.mark.skipif(
     not (np.__version__.startswith("2.4.") and platform.machine() == "x86_64"),
@@ -233,6 +243,102 @@ def test_recognition_bits():
     assert digest.hexdigest() == RECOGNITION_DIGEST
 
 
+# (argv, stubbed) per command-line run: every subcommand, csv and json for the
+# tables, and the exits 1 (outside, failed report), 2 (argparse and library
+# ValueError), 3 (unwritable --out) and 4 (unconverged solve); a stubbed run
+# solves with a descent of no steps.  The ``--out`` run writes out.csv.
+CLI_RUNS = [
+    (["boundary", "--n", "3", "--samples", "8"], False),
+    (["boundary", "--n", "5", "--samples", "7", "--seed", "4", "--format", "json"], False),
+    (["boundary", "--n", "2", "--samples", "4"], False),
+    (["boundary", "--n", "1", "--samples", "3", "--format", "json"], False),
+    (["boundary", "--n", "4", "--samples", "6", "--out", "out.csv"], False),
+    (["gamma-image", "--n", "4", "--alpha-samples", "3", "--y-samples", "2"], False),
+    (["gamma_image", "--n", "3", "--alpha-samples", "2", "--y-samples", "3", "--format", "json"], False),
+    (["membership", "--n", "5", "--re", "0.1", "--im", "0.05"], False),
+    (["membership", "--n", "3", "--re", "0.2", "--im", "-0.1"], False),
+    (["membership", "--n", "4", "--re", "1.5", "--im", "0"], False),
+    (["membership", "--n", "2", "--re", "0.5", "--im", "0"], False),
+    (["membership", "--n", "1", "--re", "1", "--im", "1e-12", "--tol", "1e-6"], False),
+    (["extremal", "--n", "3", "--theta", "0.5"], False),
+    (["extremal", "--n", "4", "--theta", "-2", "--format", "json"], False),
+    (["extremal", "--n", "3", "--alpha", "1.0", "--seed", "7"], False),
+    (["extremal", "--n", "5", "--alpha", "-0.3", "--format", "json"], False),
+    (["preimage", "--n", "4", "--re", "0.2", "--im", "0.1"], False),
+    (["preimage", "--n", "3", "--re", "2", "--im", "0"], False),
+    (["preimage", "--n", "4", "--re", "0.2", "--im", "0.1"], True),
+    (["verify", "--kind", "montecarlo", "--n", "3", "--trials", "50", "--seed", "3"], False),
+    (["verify", "--kind", "preimage", "--n", "3", "--trials", "5", "--tol", "1e-8"], False),
+    (["verify", "--kind", "preimage", "--n", "3", "--trials", "3"], True),
+    (["verify", "--kind", "constrainedmax", "--n", "3", "--theta", "0.7"], False),
+    (["verify", "--kind", "disk", "--n", "2", "--trials", "50", "--grid", "5"], False),
+    (["verify", "--kind", "so", "--n", "3", "--sweep", "50", "--trials", "50"], False),
+    (["verify", "--kind", "constrainedmax", "--n", "3"], False),
+    (["verify", "--kind", "nope", "--n", "3"], False),
+    (["verify", "--kind", "montecarlo", "--n", "0"], False),
+    (["verify", "--help"], False),
+    ([], False),
+    (["boundary", "--n", "3", "--samples", "1"], False),
+    (["membership", "--n", "3", "--re", "0", "--im", "0", "--tol", "nan"], False),
+    (["boundary", "--n", "3", "--samples", "4", "--out", "missing/dir/out.csv"], False),
+]
+CLI_DIGEST = "ab2a1c5d0a2c28517e29dc934bcb461ba9fb7005434bdd431933167187843fa5"
+
+# _classify_su_many(n, polar_points(n), 1e-9) for n = 1, 2, 3, 4, 8 and 50,
+# radius_of_theta at 101 angles for n = 3, 8 and 50, and the message of
+# preimage's outside ValueError
+POLAR_DIGEST = "17f094d75109b90fad527caf857a97dd29b456bc06febb25cb97a58999aabbed"
+POLAR_OUTSIDE = [(3, 2.0), (4, 1.5e308 + 1.5e308j), (5, -1e300), (8, -0.5 + 0.5j)]
+
+
+def polar_points(n):
+    """Random points around the region, points just inside and outside the
+    boundary, and 0, 1, NaN, +-inf and -1e300."""
+    rng = np.random.default_rng(28 + n)
+    xy = rng.uniform(-1.2, 1.2, (600, 2))
+    edge = gamma(n, rng.uniform(-np.pi, np.pi, 50))
+    special = [0.0, 1.0, np.nan, np.inf, -np.inf, complex(np.inf, 1.0), complex(0.3, np.nan), -1e300]
+    return np.concatenate([xy[:, 0] + 1j * xy[:, 1], edge * (1 - 1e-10), edge * (1 + 1e-10), special])
+
+
+@recorded_here
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's usage text of Python 3.11")
+def test_cli_bits(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to it
+    descend = verify_module._descend
+    digest = hashlib.sha256()
+    for argv, stubbed in CLI_RUNS:
+        with monkeypatch.context() as patch:
+            if stubbed:
+                patch.setattr(verify_module, "_descend", lambda n, z, a, q: descend(n, z, a, q, 0))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        digest.update(repr((argv, code, out, err)).encode())
+    digest.update((tmp_path / "out.csv").read_bytes())
+    assert digest.hexdigest() == CLI_DIGEST
+
+
+@recorded_here
+def test_polar_bits():
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 4, 8, 50):
+        codes, margins = _classify_su_many(n, polar_points(n), 1e-9)
+        digest.update(codes.astype(np.int8).tobytes() + np.asarray(margins, np.float64).tobytes())
+    for n in (3, 8, 50):
+        for theta in np.linspace(-np.pi, np.pi, 101):
+            p = radius_of_theta(n, theta)
+            digest.update(np.float64([p.theta, p.r]).tobytes())
+    for n, z in POLAR_OUTSIDE:
+        with pytest.raises(ValueError) as info:
+            preimage(n, z)
+        digest.update(str(info.value).encode())
+    assert digest.hexdigest() == POLAR_DIGEST
+
+
 def traced_peak(call) -> int:
     """Peak bytes traced by tracemalloc during a second call (the first fills
     the caches of the boundary polyline and its boxes)."""
@@ -269,3 +375,4 @@ class TestPeakMemory:
         # the rebuilt preimages are checked one chunk at a time, one stack of
         # _chunk(n) matrices as for the Haar samples: 30.8 MB
         assert traced_peak(lambda: verify_preimage(100, 200, 0)) <= 34e6
+
