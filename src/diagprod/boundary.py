@@ -179,8 +179,8 @@ def alpha_of_theta(n: int, theta):
     """
     n = _check_n(n, 3)
     t = np.asarray(_wrap_angle(_check_finite("theta", theta)), np.float64)
-    out = _invert_theta(n, t if t.ndim else t[None])
-    return float(out[0]) if t.ndim == 0 else out
+    out = _invert_theta(n, t)
+    return float(out[()]) if t.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,17 @@ def radius_of_theta(n: int, theta) -> PolarPoint:
     """Polar radius of the boundary at angle ``theta`` (n >= 3)."""
     n = _check_n(n, 3)
     t = _wrap_angle(_check_finite("theta", theta))
-    return PolarPoint(theta=float(t), r=float(_radius_many(n, np.reshape(t, 1))[0]))
+    return PolarPoint(theta=float(t), r=float(_radius_many(n, np.reshape(t, 1))[1][0]))
 
 
-def _radius_many(n: int, thetas: np.ndarray) -> np.ndarray:
+def _radius_many(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, r) per polar angle theta: the curve parameter with
+    theta_of_alpha(n, alpha) = theta, and the boundary radius |gamma(alpha)|.
+    The one polar-radius core: the polar oracle, :func:`radius_of_theta`,
+    the constrained maximum's target and the preimage solver's outside
+    verdict and boundary seed all read it."""
     alphas = _invert_theta(n, np.asarray(thetas, np.float64))
-    return _radius_from_alpha(n, alphas)
+    return alphas, _radius_from_alpha(n, alphas)
 
 
 def _interior_args(n: int, alpha, y):

@@ -114,6 +114,13 @@ def _emit(text: str, out_path: str | None) -> int:
     return EXIT_OK
 
 
+def _emit_table(args, command: str, parameters: dict, columns: list[str], rows: np.ndarray) -> int:
+    """Write one table command's output: its record, in ``--format``, to
+    ``--out`` or standard output."""
+    record = OutputRecord(SCHEMA_VERSION, command, parameters, columns, rows)
+    return _emit(record.render(args.format), args.out)
+
+
 def _cmd_boundary(args) -> int:
     n, samples = args.n, args.samples
     # spacing 2*pi/samples starting at -pi; the curve closes at the seam
@@ -122,14 +129,13 @@ def _cmd_boundary(args) -> int:
     alphas = np.linspace(-np.pi, np.pi, samples, endpoint=False)
     values = gamma(n, alphas)
     thetas = theta_of_alpha(n, alphas) if n >= 3 else np.angle(values)
-    record = OutputRecord(
-        SCHEMA_VERSION,
+    return _emit_table(
+        args,
         "boundary",
         {"n": n, "samples": samples, "seed": args.seed},
         ["alpha", "re", "im", "theta", "r"],
         np.column_stack([alphas, values.real, values.imag, thetas, np.abs(values)]),
     )
-    return _emit(record.render(args.format), args.out)
 
 
 def _cmd_gamma_image(args) -> int:
@@ -140,8 +146,8 @@ def _cmd_gamma_image(args) -> int:
     zs = big_gamma(n, aa, yy)
     jac = jacobian_big_gamma(n, aa, yy)
     rows = np.stack([aa, yy, zs.real, zs.imag, jac], -1).reshape(-1, 5)
-    record = OutputRecord(
-        SCHEMA_VERSION,
+    return _emit_table(
+        args,
         "gamma-image",
         {
             "n": n,
@@ -153,7 +159,6 @@ def _cmd_gamma_image(args) -> int:
         ["alpha", "y", "re", "im", "jacobian"],
         rows,
     )
-    return _emit(record.render(args.format), args.out)
 
 
 def _cmd_membership(args) -> int:
@@ -165,13 +170,6 @@ def _cmd_membership(args) -> int:
         line += f" winding={winding.status.value} margin={_fmt(winding.signed_margin)}"
     print(line)
     return EXIT_OK if polar.status is not Membership.OUTSIDE else EXIT_NEGATIVE
-
-
-def _matrix_record(command: str, u: np.ndarray, params: dict) -> OutputRecord:
-    n = u.shape[0]
-    columns = [f"c{j}_{part}" for j in range(1, n + 1) for part in ("re", "im")]
-    rows = np.stack([u.real, u.imag], -1).reshape(n, 2 * n)
-    return OutputRecord(SCHEMA_VERSION, command, params, columns, rows)
 
 
 def _cmd_extremal(args) -> int:
@@ -196,8 +194,10 @@ def _cmd_extremal(args) -> int:
         "gamma_im": _fmt(analytic.imag),
         "abs_error": _fmt(abs(pd - analytic)),
     }
-    record = _matrix_record("extremal", u, params)
-    return _emit(record.render(args.format), args.out)
+    # row i holds the real and imaginary parts of u[i, 0], u[i, 1], ... in turn,
+    # as complex128 lays them out
+    columns = [f"c{j}_{part}" for j in range(1, n + 1) for part in ("re", "im")]
+    return _emit_table(args, "extremal", params, columns, u.view(np.float64))
 
 
 def _cmd_preimage(args) -> int:
@@ -214,28 +214,31 @@ def _cmd_preimage(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_KINDS = ("montecarlo", "preimage", "constrainedmax", "disk", "so")
+def _constrained_max(args):
+    """The constrainedmax kind, which alone needs ``--theta``."""
+    if args.theta is None:
+        build_parser().error("--theta is required for --kind constrainedmax")
+    return constrained_max_numeric(args.n, args.theta, seed=args.seed)
+
+
+# verify --kind: each kind and the library call that runs it, in the order
+# that --help lists them
+_VERIFY_KINDS = {
+    "montecarlo": lambda args: monte_carlo_containment(args.n, args.trials, args.seed, args.tol),
+    "preimage": lambda args: verify_preimage(args.n, args.trials, args.seed, max(args.tol, 1e-12)),
+    "constrainedmax": _constrained_max,
+    "disk": lambda args: verify_unit_disk(args.n, args.trials, args.seed, args.grid),
+    "so": lambda args: verify_so_interval(args.n, args.sweep, args.trials, args.seed),
+}
 
 
 def _cmd_verify(args) -> int:
-    kind = args.kind
-    if kind == "montecarlo":
-        report = monte_carlo_containment(args.n, args.trials, args.seed, args.tol)
-    elif kind == "preimage":
-        report = verify_preimage(args.n, args.trials, args.seed, max(args.tol, 1e-12))
-    elif kind == "constrainedmax":
-        if args.theta is None:
-            build_parser().error("--theta is required for --kind constrainedmax")
-        report = constrained_max_numeric(args.n, args.theta, seed=args.seed)
-    elif kind == "disk":
-        report = verify_unit_disk(args.n, args.trials, args.seed, args.grid)
-    else:
-        report = verify_so_interval(args.n, args.sweep, args.trials, args.seed)
+    report = _VERIFY_KINDS[args.kind](args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "parameters": {
-            "kind": kind,
+            "kind": args.kind,
             "n": args.n,
             "trials": args.trials,
             "grid": args.grid,

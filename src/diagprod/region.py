@@ -300,7 +300,7 @@ def _classify_su_many(n: int, zs: np.ndarray, tol: float):
     else:
         mod = np.abs(zs)
         theta = np.where(finite & (mod > tol), np.angle(zs), 0.0)
-        margins = _radius_many(n, theta) - mod
+        margins = _radius_many(n, theta)[1] - mod
         codes = np.where(margins > tol, 1, np.where(margins < -tol, -1, 0))
     # a non-finite point has no margin: it is outside, as the worst possible one
     codes = np.where(finite, codes, -1).astype(np.int8)

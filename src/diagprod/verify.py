@@ -24,8 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import _invert_theta, _wrap_angle
-from .boundary import _ipow, _radius_from_alpha, _radius_many
+from .boundary import _ipow, _radius_many, _wrap_angle
 from .constructors import omega_max, _build_u_z_many, _homotopy_matrices, _homotopy_product
 from .matrices import (
     derive_seed,
@@ -315,14 +314,15 @@ def _preimage_many(n: int, zs: np.ndarray, tol: float):
     (alpha, q, residual, stages, outside), the best homotopy parameters per
     target, their residual |H - z|, the (seed name, residual) of each stage
     tried, and the mask of targets that the polar oracle puts Outside at
-    max(tol, 1e-12), which are not solved.  theta is inverted once per
-    target, for that verdict and for the boundary seed.  Each target
-    descends from its seeds in order of initial residual, and a later seed
-    runs only for the targets still above ``tol``."""
+    max(tol, 1e-12), which are not solved.  One call of the polar-radius
+    core gives that verdict and the boundary seed's curve parameter, so
+    theta is inverted once per target.  Each target descends from its seeds
+    in order of initial residual, and a later seed runs only for the
+    targets still above ``tol``."""
     m, every, tol_in = len(zs), np.arange(len(zs)), max(tol, 1e-12)
     mod = np.abs(zs)
-    alpha_b = _invert_theta(n, np.where(mod > tol_in, np.angle(zs), 0.0))
-    outside = _radius_from_alpha(n, alpha_b) - mod < -tol_in
+    alpha_b, radius = _radius_many(n, np.where(mod > tol_in, np.angle(zs), 0.0))
+    outside = radius - mod < -tol_in
     zs = np.where(outside, 0.0, zs)  # unsolved; 0 keeps their seeds finite
     names = ("boundary seed", "cusp seed", "origin seed")
     seed_a, seed_q = np.full((3, m), np.pi), np.full((3, m), 0.5)  # the origin seed last
@@ -592,7 +592,7 @@ def constrained_max_numeric(
     cfg = (config or OptimizerConfig()).validate()
     tally = _Tally()
     th = float(_wrap_angle(_check_finite("theta", theta)))
-    target = float(_radius_many(n, np.array([th]))[0])
+    target = float(_radius_many(n, np.array([th]))[1][0])
     w = complex(np.exp(-1j * th))
     u = _level_set_ascent(_haar_special_unitary_batch(n, seed, cfg.restarts), w, cfg)
     t = w * _diag_products(u)

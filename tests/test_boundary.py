@@ -353,7 +353,7 @@ class TestRadius:
             assert len(calls) == 1
             calls.clear()
             assert p.theta == unwrapped(theta)
-            assert p.r == boundary._radius_many(n, np.array([p.theta]))[0]
+            assert p.r == boundary._radius_many(n, np.array([p.theta]))[1][0]
 
     def test_consistency_grid(self):
         for n in (3, 7, 12):

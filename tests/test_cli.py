@@ -317,7 +317,12 @@ class TestVerifyCommand:
     # passed, so the command exited 0
     def test_constrainedmax_overshoot_exits_1(self, monkeypatch, tmp_path):
         radius = verify_module._radius_many
-        monkeypatch.setattr(verify_module, "_radius_many", lambda n, th: radius(n, th) - 1e-3)
+
+        def lowered(n, thetas):
+            alpha, r = radius(n, thetas)
+            return alpha, r - 1e-3
+
+        monkeypatch.setattr(verify_module, "_radius_many", lowered)
         out = tmp_path / "v.json"
         rc = main(["verify", "--kind", "constrainedmax", "--n", "4", "--theta", "0.7", "--out", str(out)])
         assert rc == 1

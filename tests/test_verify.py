@@ -292,7 +292,6 @@ class TestPreimageCore:
             return invert(n, targets)
 
         monkeypatch.setattr(boundary_module, "_invert_theta", counting)
-        monkeypatch.setattr(verify_module, "_invert_theta", counting)
         targets = [(3, 0.1 + 0.02j), (4, 0.2 + 0.1j), (5, 0.0), (4, 0.999 + 1e-7j), (6, gamma(6, 2.0))]
         for n, z in targets:
             preimage(n, z)
@@ -373,7 +372,12 @@ class TestConstrainedMax:
     # regression: a best value above the analytic maximum passed
     def test_best_value_above_the_maximum_fails(self, monkeypatch):
         radius = verify_module._radius_many
-        monkeypatch.setattr(verify_module, "_radius_many", lambda n, th: radius(n, th) - 1e-3)
+
+        def lowered(n, thetas):
+            alpha, r = radius(n, thetas)
+            return alpha, r - 1e-3
+
+        monkeypatch.setattr(verify_module, "_radius_many", lowered)
         rep = constrained_max_numeric(4, 0.7)
         assert rep.worst_margin == pytest.approx(-1e-3, abs=1e-9)
         assert rep.failures == 1 and not rep.passed
