@@ -1,3 +1,5 @@
-from .cli import main_entry
+import sys
 
-main_entry()
+from .cli import main
+
+sys.exit(main())

@@ -191,11 +191,6 @@ class PolarPoint:
     r: float
 
 
-def _radius_from_alpha(n: int, alpha):
-    base = 1.0 - (4.0 * (n - 1.0) / n**2) * np.sin(0.5 * np.asarray(alpha, np.float64)) ** 2
-    return np.maximum(base, 0.0) ** (n / 2.0)
-
-
 def radius_of_theta(n: int, theta) -> PolarPoint:
     """Polar radius of the boundary at angle ``theta`` (n >= 3)."""
     n = _check_n(n, 3)
@@ -208,9 +203,11 @@ def _radius_many(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta_of_alpha(n, alpha) = theta, and the boundary radius |gamma(alpha)|.
     The one polar-radius core: the polar oracle, :func:`radius_of_theta`,
     the constrained maximum's target and the preimage solver's outside
-    verdict and boundary seed all read it."""
+    verdict and boundary seed all read it.  The radius is
+    (1 - 4 (n-1)/n^2 sin^2(alpha/2))^(n/2), its base clipped at 0."""
     alphas = _invert_theta(n, np.asarray(thetas, np.float64))
-    return alphas, _radius_from_alpha(n, alphas)
+    base = 1.0 - (4.0 * (n - 1.0) / n**2) * np.sin(0.5 * alphas) ** 2
+    return alphas, np.maximum(base, 0.0) ** (n / 2.0)
 
 
 def _interior_args(n: int, alpha, y):

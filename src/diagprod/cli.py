@@ -114,6 +114,11 @@ def _emit(text: str, out_path: str | None) -> int:
     return EXIT_OK
 
 
+def _echo(args, *names) -> dict:
+    """The named flags of a command, echoed in its output in the given order."""
+    return {name: getattr(args, name) for name in names}
+
+
 def _emit_table(args, command: str, parameters: dict, columns: list[str], rows: np.ndarray) -> int:
     """Write one table command's output: its record, in ``--format``, to
     ``--out`` or standard output."""
@@ -132,7 +137,7 @@ def _cmd_boundary(args) -> int:
     return _emit_table(
         args,
         "boundary",
-        {"n": n, "samples": samples, "seed": args.seed},
+        _echo(args, "n", "samples", "seed"),
         ["alpha", "re", "im", "theta", "r"],
         np.column_stack([alphas, values.real, values.imag, thetas, np.abs(values)]),
     )
@@ -149,13 +154,8 @@ def _cmd_gamma_image(args) -> int:
     return _emit_table(
         args,
         "gamma-image",
-        {
-            "n": n,
-            "alpha_samples": args.alpha_samples,
-            "y_samples": args.y_samples,
-            "seed": args.seed,
-            "reference_circle_radius": _fmt((1.0 - 2.0 / n) ** n),
-        },
+        _echo(args, "n", "alpha_samples", "y_samples", "seed")
+        | {"reference_circle_radius": _fmt((1.0 - 2.0 / n) ** n)},
         ["alpha", "y", "re", "im", "jacobian"],
         rows,
     )
@@ -185,8 +185,7 @@ def _cmd_extremal(args) -> int:
         mode = {"alpha": _fmt(args.alpha)}
     pd = diag_product(u)
     params = {
-        "n": n,
-        "seed": args.seed,
+        **_echo(args, "n", "seed"),
         **mode,
         "diag_product_re": _fmt(pd.real),
         "diag_product_im": _fmt(pd.imag),
@@ -214,39 +213,27 @@ def _cmd_preimage(args) -> int:
     return EXIT_OK
 
 
-def _constrained_max(args):
-    """The constrainedmax kind, which alone needs ``--theta``."""
-    if args.theta is None:
-        build_parser().error("--theta is required for --kind constrainedmax")
-    return constrained_max_numeric(args.n, args.theta, seed=args.seed)
-
-
 # verify --kind: each kind and the library call that runs it, in the order
 # that --help lists them
 _VERIFY_KINDS = {
     "montecarlo": lambda args: monte_carlo_containment(args.n, args.trials, args.seed, args.tol),
     "preimage": lambda args: verify_preimage(args.n, args.trials, args.seed, max(args.tol, 1e-12)),
-    "constrainedmax": _constrained_max,
+    "constrainedmax": lambda args: constrained_max_numeric(args.n, args.theta, seed=args.seed),
     "disk": lambda args: verify_unit_disk(args.n, args.trials, args.seed, args.grid),
     "so": lambda args: verify_so_interval(args.n, args.sweep, args.trials, args.seed),
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, error) -> int:
+    """Run one verification kind; ``error`` is the verify parser's usage
+    error, for the constrainedmax kind, which alone needs ``--theta``."""
+    if args.kind == "constrainedmax" and args.theta is None:
+        error("--theta is required for --kind constrainedmax")
     report = _VERIFY_KINDS[args.kind](args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "parameters": {
-            "kind": args.kind,
-            "n": args.n,
-            "trials": args.trials,
-            "grid": args.grid,
-            "sweep": args.sweep,
-            "theta": args.theta,
-            "tol": args.tol,
-            "seed": args.seed,
-        },
+        "parameters": _echo(args, "kind", "n", "trials", "grid", "sweep", "theta", "tol", "seed"),
         "report": report.to_dict(),
     }
     text = json.dumps(payload, indent=2) + "\n"
@@ -349,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--sweep", type=int, default=10000)
     p.add_argument("--theta", type=float, default=None)
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=functools.partial(_cmd_verify, error=p.error))
 
     return parser
 
@@ -361,11 +348,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main_entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -288,15 +288,12 @@ def _classify_su_many(n: int, zs: np.ndarray, tol: float):
     """
     zs = np.asarray(zs, np.complex128)
     finite = np.isfinite(zs)
-    if n == 1:
-        d = np.abs(zs - 1.0)
-        margins = tol - d
-        codes = np.where(d <= tol, 1, -1)
-    elif n == 2:
-        x = np.clip(zs.real, 0.0, 1.0)
-        d = np.hypot(zs.real - x, zs.imag)
-        margins = tol - d
-        codes = np.where(d <= tol, 0, -1)
+    if n <= 2:
+        # distance to the nearest point of the image: the point 1 (n = 1) or
+        # the segment [0, 1] (n = 2); the point is Inside, the segment is its
+        # own boundary
+        margins = tol - np.abs(zs - np.clip(zs.real, 2.0 - n, 1.0))
+        codes = np.where(margins >= 0.0, int(n == 1), -1)
     else:
         mod = np.abs(zs)
         theta = np.where(finite & (mod > tol), np.angle(zs), 0.0)

@@ -25,7 +25,7 @@ from diagprod import (
     verify_so_interval,
     wrap_angle,
 )
-from diagprod.boundary import _invert_theta, _radius_from_alpha
+from diagprod.boundary import _invert_theta, _radius_many
 from diagprod.region import _classify_su_many, _winding_codes_many
 
 from conftest import record_acceptance
@@ -63,7 +63,7 @@ def test_c03_polar_consistency():
     for n in range(3, 13):
         alphas = np.linspace(-np.pi, np.pi, 10000)
         thetas = theta_of_alpha(n, alphas)
-        radii = _radius_from_alpha(n, _invert_theta(n, thetas))
+        radii = _radius_many(n, thetas)[1]
         worst_radial = max(worst_radial, np.abs(radii - np.abs(gamma(n, alphas))).max())
         tgrid = np.linspace(-np.pi, np.pi, 1000)
         back = theta_of_alpha(n, _invert_theta(n, tgrid))

@@ -2,6 +2,10 @@
 round-trip parsing of emitted matrices."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,10 +332,14 @@ class TestVerifyCommand:
         assert rc == 1
         assert json.loads(out.read_text())["report"]["failures"] == 1
 
-    def test_constrainedmax_requires_theta(self):
+    def test_constrainedmax_requires_theta(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--kind", "constrainedmax", "--n", "3"])
         assert exc.value.code == 2
+        # regression: the top-level parser reported it, with its own usage
+        err = capsys.readouterr().err
+        assert err.startswith("usage: diagprod verify")
+        assert "diagprod verify: error: --theta is required for --kind constrainedmax" in err
 
     @pytest.mark.parametrize(
         "kind, flags",
@@ -405,3 +413,31 @@ class TestMatrixSizeFlag:
         err = capsys.readouterr().err
         assert f"matrix size n must be an integer >= {least}, got {least - 1}" in err
         assert main([*argv, "--n", str(least)]) in (0, 1)
+
+
+class TestModuleEntryPoint:
+    """``python -m diagprod`` exits with the code that :func:`main` returns."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "diagprod", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_table_exits_0_with_mains_output(self, capsys):
+        argv = ["boundary", "--n", "3", "--samples", "4"]
+        done = self.run(*argv)
+        assert done.returncode == 0
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out
+
+    def test_outside_verdict_exits_1(self):
+        assert self.run("membership", "--n", "4", "--re", "1.5", "--im", "0").returncode == 1
+
+    def test_usage_error_exits_2(self):
+        assert self.run("boundary", "--n", "3", "--samples", "1").returncode == 2
