@@ -15,11 +15,14 @@ Haar sample and were recorded before the homotopy matrices were built as
 stacks, the preimage verifier checked them one chunk at a time and the
 unitarity predicates shared one stack core; that of recognition was
 recorded before its generic and degenerate cases read the diagonal phases
-through one rule; those of the command line (exit code, standard output
-and standard error of each run) and of the polar oracle (codes and
-margins, the boundary radius, the preimage solver's outside verdict) were
-recorded before the tables were emitted through one function and the
-polar margin was read through one radius core.  A change to any bit of a
+through one rule; that of the command line (exit code, standard output
+and standard error of each run) was recorded before the tables were
+emitted through one function, and recorded again when ``verify`` reported
+a missing ``--theta`` through its own parser, after checking that of the
+33 runs and the file one writes only that run changed, to the ``verify``
+usage and error lines; that of the polar oracle (codes and margins, the
+boundary radius, the preimage solver's outside verdict) was recorded
+before the polar margin was read through one radius core.  A change to any bit of a
 sample, a matrix or a report changes a digest, so a stream change has to
 update them on purpose.  The bits rest on numpy's float64 log and tan, so
 the digests are checked only on the numpy release and machine type they
@@ -282,7 +285,7 @@ CLI_RUNS = [
     (["membership", "--n", "3", "--re", "0", "--im", "0", "--tol", "nan"], False),
     (["boundary", "--n", "3", "--samples", "4", "--out", "missing/dir/out.csv"], False),
 ]
-CLI_DIGEST = "ab2a1c5d0a2c28517e29dc934bcb461ba9fb7005434bdd431933167187843fa5"
+CLI_DIGEST = "2f7dc39559805238c65b89a3eb214b78bcb6be0bb95a9f5a870fad03c269e199"
 
 # _classify_su_many(n, polar_points(n), 1e-9) for n = 1, 2, 3, 4, 8 and 50,
 # radius_of_theta at 101 angles for n = 3, 8 and 50, and the message of
