@@ -42,16 +42,29 @@ def wrap_angle(x):
     finite angle lands in range: values already in [-pi, pi] are unchanged
     (-pi too, and -0.0 becomes 0.0), and any other angle lands in (-pi, pi].
     Raises ValueError naming the first NaN or infinite angle."""
-    return _wrap_angle(_check_finite("angle", x))
+    return _scalar(_angles("angle", x))
 
 
-def _wrap_angle(x):
-    """The core of :func:`wrap_angle`, for angles already checked finite."""
+def _wrap_angle(x) -> np.ndarray:
+    """The core of :func:`wrap_angle`, for angles already checked finite: a
+    float64 array, 0-d for a scalar."""
     a = np.asarray(x, np.float64)
     out = np.fmod(a, _TWO_PI)  # exact, so no rounding error grows with |a|
     out -= _TWO_PI * np.round(out / _TWO_PI)  # exact; |out / 2pi| <= 1/2 rounds to 0
-    out = np.where((out == -np.pi) & (a != -np.pi), np.pi, out)
-    return float(out) if out.ndim == 0 else out
+    return np.where((out == -np.pi) & (a != -np.pi), np.pi, out)
+
+
+def _angles(name: str, x) -> np.ndarray:
+    """The one entry of an angle argument: ``x`` checked finite (ValueError
+    naming ``name`` and the first bad entry) and wrapped into [-pi, pi], as a
+    float64 array, 0-d for a scalar."""
+    return _wrap_angle(_check_finite(name, x))
+
+
+def _scalar(out):
+    """The one return of an evaluator: a Python scalar for a 0-d result (a
+    scalar argument), else the array itself."""
+    return out.item() if out.ndim == 0 else out
 
 
 def _ipow(base, k: int):
@@ -70,20 +83,20 @@ def _ipow(base, k: int):
 def gamma(n: int, alpha):
     """Boundary curve value; returns exactly 1 for n = 1."""
     n = _check_n(n, 1)
-    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    a = _angles("alpha", alpha)
     inner = 1.0 - (1.0 - np.exp(-1j * a)) / n
     out = np.exp(1j * a) * _ipow(inner, n) if n > 1 else np.ones(a.shape, np.complex128)
-    return complex(out[()]) if a.ndim == 0 else out
+    return _scalar(out)
 
 
 def gamma_derivative(n: int, alpha):
     """d gamma / d alpha; vanishes only at alpha = 0."""
     n = _check_n(n, 2)
-    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    a = _angles("alpha", alpha)
     shrink = 1.0 - np.exp(-1j * a)
     inner = 1.0 - shrink / n
     out = 1j * (1.0 - 1.0 / n) * shrink * np.exp(1j * a) * _ipow(inner, n - 1)
-    return complex(out[()]) if a.ndim == 0 else out
+    return _scalar(out)
 
 
 # S(x^2) = (arctan(x) - x) / x^3 for x >= 0, by its series x^16 .. x^0 for x < 0.1, where it cancels
@@ -127,18 +140,17 @@ def theta_of_alpha(n: int, alpha):
     and |alpha| <= pi wherever theta is a normal float.
     """
     n = _check_n(n, 3)
-    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
+    a = _angles("alpha", alpha)
     out = np.copysign(_theta_and_slope(n, np.abs(a))[0], a)
-    return float(out[()]) if a.ndim == 0 else out
+    return _scalar(out)
 
 
 def theta_derivative(n: int, alpha):
     """d theta / d alpha = 2(n-1)(n-2) t^2 / ((n-2)^2 (1 + t^2) + 4(n-1)),
     t = tan(alpha/2); nonnegative, zero only at alpha = 0."""
     n = _check_n(n, 3)
-    a = np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64)
-    out = _theta_and_slope(n, np.abs(a))[1]
-    return float(out[()]) if a.ndim == 0 else out
+    a = _angles("alpha", alpha)
+    return _scalar(_theta_and_slope(n, np.abs(a))[1])
 
 
 _NEWTON_STEPS = 4
@@ -178,9 +190,7 @@ def alpha_of_theta(n: int, theta):
     n = 3 .. 10^6, from subnormal |theta| up to pi, and the map is exactly odd.
     """
     n = _check_n(n, 3)
-    t = np.asarray(_wrap_angle(_check_finite("theta", theta)), np.float64)
-    out = _invert_theta(n, t)
-    return float(out[()]) if t.ndim == 0 else out
+    return _scalar(_invert_theta(n, _angles("theta", theta)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +204,7 @@ class PolarPoint:
 def radius_of_theta(n: int, theta) -> PolarPoint:
     """Polar radius of the boundary at angle ``theta`` (n >= 3)."""
     n = _check_n(n, 3)
-    t = _wrap_angle(_check_finite("theta", theta))
+    t = _angles("theta", theta)
     return PolarPoint(theta=float(t), r=float(_radius_many(n, np.reshape(t, 1))[1][0]))
 
 
@@ -216,7 +226,7 @@ def _interior_args(n: int, alpha, y):
     yy = np.asarray(_check_finite("y", y), np.float64)
     if np.any(yy < 1.0 - 1e-9) or np.any(yy > n - 1.0 + 1e-9):
         raise ValueError(f"second parameter must lie in [1, {n - 1}]")
-    return n, np.asarray(_wrap_angle(_check_finite("alpha", alpha)), np.float64), yy
+    return n, _angles("alpha", alpha), yy
 
 
 def big_gamma(n: int, alpha, y):
@@ -226,7 +236,7 @@ def big_gamma(n: int, alpha, y):
     """
     n, a, yy = _interior_args(n, alpha, y)
     out = np.exp(1j * yy * a) * _ipow(1.0 - (1.0 - np.exp(-1j * a)) * yy / n, n)
-    return complex(out[()]) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def jacobian_big_gamma(n: int, alpha, y):
@@ -240,4 +250,4 @@ def jacobian_big_gamma(n: int, alpha, y):
     mod2 = w.real**2 + w.imag**2
     angular = 4.0 * np.sin(0.5 * a) ** 2 - a * np.sin(a)
     out = _ipow(mod2, n - 1) * yy * (1.0 - yy / n) * angular
-    return float(out[()]) if out.ndim == 0 else out
+    return _scalar(out)

@@ -201,11 +201,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_preimage(args) -> int:
     z = complex(args.re, args.im)
-    try:
-        u = preimage(args.n, z, args.tol)
-    except PreimageConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    u = preimage(args.n, z, args.tol)
     residual = abs(diag_product(u) - z)
     print(f"residual={_fmt(residual)}")
     for i in range(u.shape[0]):
@@ -342,9 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code.  A library ValueError (a bad
+    argument) exits 2 and a PreimageConvergenceError exits 4, each after one
+    ``error: ...`` line on standard error."""
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ValueError as exc:
+    except (ValueError, PreimageConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NO_CONVERGENCE

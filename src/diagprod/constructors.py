@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import alpha_of_theta, _ipow, _wrap_angle
+from .boundary import alpha_of_theta, _angles, _ipow, _scalar, _wrap_angle
 from .matrices import _MASK64, _check_finite, _check_n, _check_tol, _diag_products, _square
-from .matrices import _unitarity_errors
+from .matrices import _off_diagonal_max, _unitarity_errors
 
 __all__ = [
     "ExtremalDecomposition",
@@ -141,7 +141,7 @@ def build_homotopy_matrix(n: int, alpha, omega: float) -> np.ndarray:
     """
     n = _check_n(n, 2)
     w_hi = omega_max(n)
-    omega = float(omega)
+    omega = float(_check_finite("omega", omega))
     if not (-1e-12 <= omega <= w_hi + 1e-12):
         raise ValueError(f"omega must lie in [0, arctan(sqrt(n-1))] = [0, {w_hi!r}]")
     return _homotopy_matrices(n, [float(_check_finite("alpha", alpha))], [math.sin(omega) ** 2])[0]
@@ -175,8 +175,7 @@ def homotopy_diag_product(n: int, alpha, omega):
     """
     n, alpha = _check_n(n, 2), _check_finite("alpha", alpha)
     q = np.sin(np.asarray(_check_finite("omega", omega), np.float64)) ** 2
-    out = _homotopy_product(n, alpha, q)[0]
-    return complex(out[()]) if out.ndim == 0 else out
+    return _scalar(_homotopy_product(n, alpha, q)[0])
 
 
 def _homotopy_product(n: int, alpha, q):
@@ -299,7 +298,7 @@ def recognize_extremal(u, tol: float = 1e-9) -> ExtremalDecomposition | None:
         v = d.v * (d.v[0].conjugate() / abs(d.v[0]))
         return ExtremalDecomposition(d.alpha, v, d.diag_phases)
 
-    if np.abs(u - np.diag(np.diagonal(u))).max() <= tol:
+    if _off_diagonal_max(u) <= tol:
         d = _with_diagonal_phases(u, 0.0, np.full(n, 1.0 / math.sqrt(n), np.complex128))
     else:
         d = _closed_form_decomposition(u, n)
@@ -349,7 +348,7 @@ def random_extremal(n: int, seed: int = 0, alpha: float | None = None) -> Extrem
     rng = np.random.default_rng(_check_n(seed, name="seed") & _MASK64)
     if alpha is None:
         alpha = rng.uniform(-math.pi, math.pi)
-    alpha = float(_wrap_angle(_check_finite("alpha", alpha)))
+    alpha = float(_angles("alpha", alpha))
     v = np.exp(1j * rng.uniform(-math.pi, math.pi, n)) / math.sqrt(n)
     head = rng.uniform(-math.pi, math.pi, n - 1)
     phases = np.append(head, _wrap_angle(alpha - head.sum()))

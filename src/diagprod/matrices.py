@@ -166,6 +166,14 @@ def _diag_products(mats: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(mats.diagonal(0, -2, -1), axis=-1)
 
 
+def _off_diagonal_max(mats: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal modulus of each matrix of a stack (or of one
+    matrix): the one test of how far a matrix is from diagonal."""
+    off, idx = np.abs(mats), np.arange(mats.shape[-1])
+    off[..., idx, idx] = 0.0
+    return off.max(axis=(-2, -1))
+
+
 def diag_product(m) -> complex:
     """Product of the diagonal entries of a square matrix; ValueError naming
     the first non-finite entry, if any."""

@@ -101,10 +101,8 @@ def u_region_contains(n: int, z, tol: float = 1e-9) -> MembershipVerdict:
     n = _check_n(n, 2)
     tol = _check_tol(tol)
     z = _check_finite("z", complex(z))
-    try:
-        margin = 1.0 - abs(z)
-    except OverflowError:  # |z| exceeds the largest float
-        margin = -np.inf
+    with np.errstate(over="ignore"):  # |z| past the largest float is inf
+        margin = 1.0 - float(np.hypot(z.real, z.imag))  # libm's hypot, as Python's abs
     return MembershipVerdict(_STATUS[(margin > tol) - (margin < -tol)], margin)
 
 
@@ -170,9 +168,7 @@ def _kept(gap2, reach2, zx, zy, boxes) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def _winding_codes_many(
-    n: int, zs: np.ndarray, samples: int = 8192, tol: float = 1e-9, block: int = 512
-):
+def _winding_codes_many(n: int, zs: np.ndarray, samples: int, tol: float, block: int = 512):
     """Winding-number classification of an array of points: the core of
     :func:`su_region_contains_winding`.
 
@@ -280,6 +276,18 @@ def _winding_codes_many(
     return codes, margins
 
 
+def _polar_margins(n: int, zs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, r(theta) - |z|) per point for n >= 3: the curve parameter of
+    the boundary point at the polar angle theta of z, and the signed polar
+    margin, positive inside.  theta is taken as 0 where |z| <= tol (no
+    reliable angle) or z is not finite.  The one polar verdict: the polar
+    oracle and the preimage solver's outside test and boundary seed read it."""
+    mod = np.abs(zs)
+    theta = np.where(np.isfinite(zs) & (mod > tol), np.angle(zs), 0.0)
+    alpha, radius = _radius_many(n, theta)
+    return alpha, radius - mod
+
+
 def _classify_su_many(n: int, zs: np.ndarray, tol: float):
     """Polar classification of an array of points: the core of
     :func:`su_region_contains`.
@@ -295,9 +303,7 @@ def _classify_su_many(n: int, zs: np.ndarray, tol: float):
         margins = tol - np.abs(zs - np.clip(zs.real, 2.0 - n, 1.0))
         codes = np.where(margins >= 0.0, int(n == 1), -1)
     else:
-        mod = np.abs(zs)
-        theta = np.where(finite & (mod > tol), np.angle(zs), 0.0)
-        margins = _radius_many(n, theta)[1] - mod
+        margins = _polar_margins(n, zs, tol)[1]
         codes = np.where(margins > tol, 1, np.where(margins < -tol, -1, 0))
     # a non-finite point has no margin: it is outside, as the worst possible one
     codes = np.where(finite, codes, -1).astype(np.int8)

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import _ipow, _radius_many, _wrap_angle
+from .boundary import _angles, _ipow, _radius_many, _wrap_angle
 from .constructors import omega_max, _build_u_z_many, _homotopy_matrices, _homotopy_product
 from .matrices import (
     derive_seed,
@@ -35,9 +35,10 @@ from .matrices import (
     _haar_special_orthogonal_batch,
     _haar_special_unitary_batch,
     _haar_unitary_batch,
+    _off_diagonal_max,
     _unitarity_errors,
 )
-from .region import so_interval, _classify_su_many
+from .region import so_interval, _classify_su_many, _polar_margins
 
 __all__ = [
     "CheckRecord",
@@ -184,7 +185,7 @@ def _over_chunks(build, n: int, count: int, *per_chunk):
     Every stack a verifier checks comes from here: the Haar samples of
     ``monte_carlo_containment``, ``verify_unit_disk`` and
     ``verify_so_interval``, the disk grid's 2x2-block matrices and the
-    homotopy matrices that ``verify_preimage`` rebuilds; ``count`` is at
+    homotopy matrices that the preimage core rebuilds; ``count`` is at
     least 1."""
     parts = [[] for _ in range(1 + len(per_chunk))]
     for start in range(0, count, _chunk(n)):
@@ -309,20 +310,22 @@ def _descend(n: int, zs: np.ndarray, a: np.ndarray, q: np.ndarray, max_iter: int
     return a, q, res
 
 
-def _preimage_many(n: int, zs: np.ndarray, tol: float):
+def _preimage_many(n: int, zs: np.ndarray, tol: float, *per_chunk):
     """The core of :func:`preimage` for a 1-D array of finite targets:
-    (alpha, q, residual, stages, outside), the best homotopy parameters per
-    target, their residual |H - z|, the (seed name, residual) of each stage
-    tried, and the mask of targets that the polar oracle puts Outside at
-    max(tol, 1e-12), which are not solved.  One call of the polar-radius
-    core gives that verdict and the boundary seed's curve parameter, so
-    theta is inverted once per target.  Each target descends from its seeds
-    in order of initial residual, and a later seed runs only for the
-    targets still above ``tol``."""
+    (alpha, q, residual, stages, outside, *values), the best homotopy
+    parameters per target, their residual, the (seed name, residual) of each
+    stage tried, the mask of targets that the polar oracle puts Outside at
+    max(tol, 1e-12), which are not solved, and the value of each function of
+    ``per_chunk`` on the rebuilt matrices.  One call of the polar margins
+    gives that verdict and the boundary seed's curve parameter, so theta is
+    inverted once per target.  Each target descends from its seeds in order
+    of initial residual, and a later seed runs only for the targets still
+    above ``tol``.  Every target's matrix is then rebuilt, one chunk at a
+    time, and a solved target's residual is re-measured as |product - z| of
+    its rebuilt matrix; an unsolved one keeps the closed-form |H - z|."""
     m, every, tol_in = len(zs), np.arange(len(zs)), max(tol, 1e-12)
-    mod = np.abs(zs)
-    alpha_b, radius = _radius_many(n, np.where(mod > tol_in, np.angle(zs), 0.0))
-    outside = radius - mod < -tol_in
+    alpha_b, margins = _polar_margins(n, zs, tol_in)
+    outside = margins < -tol_in
     zs = np.where(outside, 0.0, zs)  # unsolved; 0 keeps their seeds finite
     names = ("boundary seed", "cusp seed", "origin seed")
     seed_a, seed_q = np.full((3, m), np.pi), np.full((3, m), 0.5)  # the origin seed last
@@ -342,7 +345,14 @@ def _preimage_many(n: int, zs: np.ndarray, tol: float):
             stages[row].append((names[seed], res))
         better = found[2] < best[rows]
         alpha[rows[better]], q[rows[better]], best[rows[better]] = (v[better] for v in found)
-    return alpha, q, best, stages, outside
+
+    def build(size, i):
+        return _homotopy_matrices(n, alpha[i : i + size], q[i : i + size])
+
+    products, *values = _over_chunks(build, n, m, *per_chunk)
+    miss, solved = products - zs, best <= tol
+    best[solved] = np.hypot(miss.real, miss.imag)[solved]  # Python's abs, bit for bit
+    return alpha, q, best, stages, outside, *values
 
 
 def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
@@ -365,14 +375,12 @@ def preimage(n: int, z, tol: float = 1e-9) -> np.ndarray:
     """
     n, tol = _check_n(n, 3), _check_tol(tol)
     z = _check_finite("z", complex(z))
-    alpha, q, best, stages, outside = _preimage_many(n, np.array([z]), tol)
+    _, _, residual, stages, outside, u = _preimage_many(n, np.array([z]), tol, lambda u: u)
     if outside[0]:
         raise ValueError(f"target {z!r} lies outside the diagonal-product image")
-    u = _homotopy_matrices(n, alpha, q)[0]
-    residual = float(best[0]) if best[0] > tol else abs(complex(_diag_products(u)) - z)
-    if residual > tol:
-        raise PreimageConvergenceError(residual, stages[0])
-    return u
+    if residual[0] > tol:
+        raise PreimageConvergenceError(float(residual[0]), stages[0])
+    return u[0]
 
 
 def _interior_points(n: int, count: int, seed: int) -> list[complex]:
@@ -403,8 +411,9 @@ def verify_preimage(
 ) -> VerificationReport:
     """Solve ``trials`` random interior targets in one call of the preimage core
     and self-check every output: residual within ``tol``, special unitarity at 1e-10.
-    Every target's matrix is rebuilt and checked, one chunk at a time; an
-    unsolved target keeps the core's residual and fails.  The margin of a
+    The core rebuilds every target's matrix, one chunk at a time, and
+    re-measures the residual of each solved one; the unitarity errors are
+    taken on the same chunks, and an unsolved target fails.  The margin of a
     target is tol - residual, and that of a failed one at most 1e-10 - its
     unitarity error, so a failure always makes ``worst_margin`` negative."""
     n, trials, seed = _check_n(n, 3), _check_n(trials, 1, "trials"), _check_n(seed, name="seed")
@@ -412,15 +421,10 @@ def verify_preimage(
     tally = _Tally()
     points = _interior_points(n, trials, seed)
     zs = np.array(points, np.complex128)
-    alpha, q, residuals, _, _ = _preimage_many(n, zs, tol)
-
-    def build(size, i):
-        return _homotopy_matrices(n, alpha[i : i + size], q[i : i + size])
-
-    products, su_error = _over_chunks(build, n, trials, lambda u: _unitarity_errors(u).max(-1))
-    miss, solved = products - zs, residuals <= tol
-    residuals[solved] = np.hypot(miss.real, miss.imag)[solved]  # Python's abs, bit for bit
-    ok = solved & (residuals <= tol) & (su_error <= 1e-10)
+    _, _, residuals, _, _, su_error = _preimage_many(
+        n, zs, tol, lambda u: _unitarity_errors(u).max(-1)
+    )
+    ok = (residuals <= tol) & (su_error <= 1e-10)
     margin = np.where(ok, tol - residuals, np.minimum(tol - residuals, 1e-10 - su_error))
     tally.fail_each(~ok, lambda i: f"point={i} z={points[i]!r}", residuals, tol, residuals - tol)
     tally.lower(margin.min())
@@ -591,7 +595,7 @@ def constrained_max_numeric(
     n, seed = _check_n(n, 3), _check_n(seed, name="seed")
     cfg = (config or OptimizerConfig()).validate()
     tally = _Tally()
-    th = float(_wrap_angle(_check_finite("theta", theta)))
+    th = float(_angles("theta", theta))
     target = float(_radius_many(n, np.array([th]))[1][0])
     w = complex(np.exp(-1j * th))
     u = _level_set_ascent(_haar_special_unitary_batch(n, seed, cfg.restarts), w, cfg)
@@ -608,13 +612,6 @@ def constrained_max_numeric(
         tally.add(CheckRecord(label, value, target, abs(value - target)), failed[r])
     tally.worst = gap
     return tally.report("constrained_max", n, cfg.restarts, seed, u[best])
-
-
-def _off_diagonal_max(mats: np.ndarray) -> np.ndarray:
-    """Largest off-diagonal modulus of each matrix of a stack."""
-    off, idx = np.abs(mats), np.arange(mats.shape[-1])
-    off[:, idx, idx] = 0.0
-    return off.max(axis=(1, 2))
 
 
 def verify_unit_disk(

@@ -216,6 +216,16 @@ class TestHomotopyFamily:
         with pytest.raises(ValueError):
             build_homotopy_matrix(4, 1.0, omega_max(4) + 0.1)
 
+    def test_omega_is_checked_finite_first(self):
+        # regression: a NaN omega failed the range check, whose message names
+        # the interval but not the value, and a string omega was accepted,
+        # while homotopy_diag_product raises TypeError for it
+        with pytest.raises(ValueError, match="^omega must be finite, got nan"):
+            build_homotopy_matrix(4, 1.0, float("nan"))
+        for build in (build_homotopy_matrix, homotopy_diag_product):
+            with pytest.raises(TypeError):
+                build(4, 1.0, "0.3")
+
 
 class TestBuildUZ:
     def test_unit_target_gives_identity(self):

@@ -369,6 +369,13 @@ class TestUnitDisk:
         assert v.status is Membership.OUTSIDE
         assert v.signed_margin < 0.0
 
+    @given(st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_margin_is_one_minus_abs(self, z):
+        # the margin takes np.hypot, libm's hypot, as Python's abs does
+        margin = u_region_contains(3, z).signed_margin
+        assert type(margin) is float and margin == 1.0 - abs(z)
+
 
 class TestSOInterval:
     def test_small_sizes(self):

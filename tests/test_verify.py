@@ -299,6 +299,16 @@ class TestPreimageCore:
             preimage(3, 2.0)
         assert len(calls) == len(targets) + 1
 
+    @pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (8, 2)])
+    def test_core_residual_is_the_rebuilt_miss(self, n, seed):
+        # regression: the core returned the closed-form |H - z| of a solved
+        # target, which differs from the rebuilt matrix's |product - z| in
+        # its last bits, so the two preimage paths measured two residuals
+        zs = verify_module._interior_points(n, 100, seed)
+        residuals = verify_module._preimage_many(n, np.array(zs), 1e-9)[2]
+        for z, got in zip(zs, residuals.tolist()):
+            assert got == abs(diag_product(preimage(n, z)) - z), (n, z)
+
 
 class TestPreimageStages:
     def test_error_names_each_stage(self, monkeypatch):
